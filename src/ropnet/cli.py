@@ -15,11 +15,12 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
+from types import SimpleNamespace
+
+import numpy as np
 
 from .data import (
-    DEFAULT_NOISE_SIGMA,
-    Dataset,
     DatasetSchema,
     FeatureSpec,
     SyntheticSpec,
@@ -29,7 +30,6 @@ from .data import (
     write_truth,
 )
 from .errors import (
-    CheckpointError,
     ConfigurationError,
     DataError,
     DivergenceError,
@@ -38,73 +38,60 @@ from .errors import (
 )
 from .explain import permutation_importance
 from .metrics import compute_metrics
-from .models import MODEL_KINDS, ModelSpec, build_model
+from .models import ADVANCED_HYBRID, MODEL_KINDS, ModelSpec, build_model
 from .preprocess import fit_pipeline, inverse_target, transform
 from .tensor import SeededRng
 from .train import TrainConfig, load_checkpoint, save_checkpoint, train_model
 
-_CONFIG_DOC = """\
-config keys (flat `key = value` lines, '#' comments) and defaults:
-  model.kind                 advanced_hybrid   one of: %s
-  model.window_len           1                 rows per training window
-  train.lr                   0.001             AdamW learning rate
-  train.weight_decay         1e-05             decoupled decay coefficient
-  train.batch_size           64
-  train.epochs               100
-  train.seed                 42                init, shuffling, dropout
-  data.path                  (unset)           CSV to load; wins over synthetic
-  data.synthetic.n_rows      2000
-  data.synthetic.noise_sigma %s
-  data.synthetic.regime_count 3
-  data.synthetic.seed        42
-  output.dir                 out               fallback when --out is absent
 
---seed overrides train.seed (data.synthetic.seed for gen-data);
---model overrides model.kind; --out overrides output.dir.
-""" % (", ".join(MODEL_KINDS), DEFAULT_NOISE_SIGMA)
+def _key(key: str, default, doc: str = ""):
+    return field(default=default, metadata={"key": key, "doc": doc})
 
 
 @dataclass
 class RunConfig:
-    model_kind: str = "advanced_hybrid"
-    window_len: int = 1
-    lr: float = 0.001
-    weight_decay: float = 1e-5
-    batch_size: int = 64
-    epochs: int = 100
-    seed: int = 42
-    data_path: str = ""
-    syn_rows: int = 2000
-    syn_noise: float = DEFAULT_NOISE_SIGMA
-    syn_regimes: int = 3
-    syn_seed: int = 42
-    out_dir: str = "out"
+    """Run settings; each field is one config key, parsed as the type of
+    its default."""
+
+    model_kind: str = _key(
+        "model.kind", ADVANCED_HYBRID, "one of: " + ", ".join(MODEL_KINDS)
+    )
+    window_len: int = _key(
+        "model.window_len", ModelSpec.window_len, "rows per training window"
+    )
+    lr: float = _key("train.lr", TrainConfig.learning_rate, "AdamW learning rate")
+    weight_decay: float = _key(
+        "train.weight_decay", TrainConfig.weight_decay, "decoupled decay coefficient"
+    )
+    batch_size: int = _key("train.batch_size", TrainConfig.batch_size)
+    epochs: int = _key("train.epochs", TrainConfig.epochs)
+    seed: int = _key("train.seed", TrainConfig.seed, "init, shuffling, dropout")
+    data_path: str = _key("data.path", "", "CSV to load; wins over synthetic")
+    syn_rows: int = _key("data.synthetic.n_rows", SyntheticSpec.n_rows)
+    syn_noise: float = _key("data.synthetic.noise_sigma", SyntheticSpec.noise_sigma)
+    syn_regimes: int = _key("data.synthetic.regime_count", SyntheticSpec.regime_count)
+    syn_seed: int = _key("data.synthetic.seed", SyntheticSpec.seed)
+    out_dir: str = _key("output.dir", "out", "fallback when --out is absent")
 
 
-def _convert(key: str, raw: str, kind):
-    try:
-        return kind(raw)
-    except ValueError:
-        raise ConfigurationError(
-            f"config key {key!r} needs a {kind.__name__}, got {raw!r}"
-        ) from None
+_FIELDS = {f.metadata["key"]: f for f in fields(RunConfig)}
 
 
-_KEY_SETTERS = {
-    "model.kind": ("model_kind", str),
-    "model.window_len": ("window_len", int),
-    "train.lr": ("lr", float),
-    "train.weight_decay": ("weight_decay", float),
-    "train.batch_size": ("batch_size", int),
-    "train.epochs": ("epochs", int),
-    "train.seed": ("seed", int),
-    "data.path": ("data_path", str),
-    "data.synthetic.n_rows": ("syn_rows", int),
-    "data.synthetic.noise_sigma": ("syn_noise", float),
-    "data.synthetic.regime_count": ("syn_regimes", int),
-    "data.synthetic.seed": ("syn_seed", int),
-    "output.dir": ("out_dir", str),
-}
+def _config_doc() -> str:
+    """The ``--help`` epilog: one aligned row per config key."""
+    shown = {key: str(f.default) or "(unset)" for key, f in _FIELDS.items()}
+    key_w = max(map(len, _FIELDS)) + 2
+    val_w = max(map(len, shown.values())) + 2
+    rows = [
+        f"  {key:<{key_w}}{shown[key]:<{val_w}}{f.metadata['doc']}".rstrip()
+        for key, f in _FIELDS.items()
+    ]
+    return (
+        "config keys (flat `key = value` lines, '#' comments) and defaults:\n"
+        + "\n".join(rows)
+        + "\n\n--seed overrides train.seed (data.synthetic.seed for gen-data);\n"
+        "--model overrides model.kind; --out overrides output.dir.\n"
+    )
 
 
 def parse_config(path: str | None) -> RunConfig:
@@ -126,20 +113,24 @@ def parse_config(path: str | None) -> RunConfig:
                 f"{path}:{line_no}: expected `key = value`, got {text!r}"
             )
         key, raw = (part.strip() for part in text.split("=", 1))
-        if key not in _KEY_SETTERS:
+        if key not in _FIELDS:
             raise ConfigurationError(
                 f"{path}:{line_no}: unknown config key {key!r}; known keys: "
-                f"{sorted(_KEY_SETTERS)}"
+                f"{sorted(_FIELDS)}"
             )
-        attr, kind = _KEY_SETTERS[key]
-        setattr(cfg, attr, _convert(key, raw, kind))
+        f = _FIELDS[key]
+        kind = type(f.default)
+        try:
+            setattr(cfg, f.name, kind(raw))
+        except ValueError:
+            raise ConfigurationError(
+                f"config key {key!r} needs a {kind.__name__}, got {raw!r}"
+            ) from None
     return cfg
 
 
-def _load_dataset(cfg: RunConfig) -> Dataset:
-    if cfg.data_path:
-        return load_csv(cfg.data_path)
-    dataset, _ = generate_synthetic(
+def _synthetic(cfg: RunConfig):
+    return generate_synthetic(
         SyntheticSpec(
             n_rows=cfg.syn_rows,
             noise_sigma=cfg.syn_noise,
@@ -147,11 +138,10 @@ def _load_dataset(cfg: RunConfig) -> Dataset:
             seed=cfg.syn_seed,
         )
     )
-    return dataset
 
 
 def _prepare(cfg: RunConfig):
-    dataset = _load_dataset(cfg)
+    dataset = load_csv(cfg.data_path) if cfg.data_path else _synthetic(cfg)[0]
     return fit_pipeline(dataset, window_len=cfg.window_len)
 
 
@@ -195,13 +185,7 @@ def cmd_gen_data(args) -> int:
     if args.seed is not None:
         cfg.syn_seed = args.seed
     out = _ensure_out(args, cfg)
-    spec = SyntheticSpec(
-        n_rows=cfg.syn_rows,
-        noise_sigma=cfg.syn_noise,
-        regime_count=cfg.syn_regimes,
-        seed=cfg.syn_seed,
-    )
-    dataset, truth = generate_synthetic(spec)
+    dataset, truth = _synthetic(cfg)
     csv_path = os.path.join(out, "synthetic.csv")
     write_csv(csv_path, dataset)
     _emit(csv_path)
@@ -249,10 +233,21 @@ def _eval_inputs(args):
     return model, state, schema
 
 
+def _labelled_windows(args, state, schema):
+    """Window a labelled CSV; every target cell must hold a finite number."""
+    dataset = load_csv(args.data, schema)
+    bad = np.flatnonzero(~np.isfinite(dataset.target))
+    if bad.size:
+        raise DataError(
+            f"{args.data}: {state.target_name} is missing or not finite in "
+            f"row {bad[0] + 1}"
+        )
+    return transform(dataset, state)
+
+
 def cmd_eval(args) -> int:
     model, state, schema = _eval_inputs(args)
-    dataset = load_csv(args.data, schema)
-    windows, statics, y_raw = transform(dataset, state)
+    windows, statics, y_raw = _labelled_windows(args, state, schema)
     pred = inverse_target(state, model.predict(windows, statics))
     report = compute_metrics(y_raw, pred)
     out = _ensure_out(args, RunConfig())
@@ -321,18 +316,13 @@ def cmd_compare(args) -> int:
 
 def cmd_explain(args) -> int:
     model, state, schema = _eval_inputs(args)
-    dataset = load_csv(args.data, schema)
-    windows, statics, y_raw = transform(dataset, state)
-
-    def raw_predict(w, s):
-        return inverse_target(state, model.predict(w, s))
-
-    class _RawModel:
-        predict = staticmethod(raw_predict)
-
+    windows, statics, y_raw = _labelled_windows(args, state, schema)
+    raw_model = SimpleNamespace(
+        predict=lambda w, s: inverse_target(state, model.predict(w, s))
+    )
     seed = args.seed if args.seed is not None else 42
     report = permutation_importance(
-        _RawModel(),
+        raw_model,
         windows,
         statics,
         y_raw,
@@ -390,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(
             name,
             help=helptext,
-            epilog=_CONFIG_DOC,
+            epilog=_config_doc(),
             formatter_class=argparse.RawDescriptionHelpFormatter,
         )
         _add_common(p, **kw)
@@ -416,10 +406,7 @@ def main(argv=None) -> int:
     except DivergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except (DataError, CheckpointError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except RopnetError as exc:
+    except (RopnetError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

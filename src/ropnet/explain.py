@@ -63,6 +63,7 @@ class ImportanceReport:
                 },
                 indent=2,
                 sort_keys=True,
+                allow_nan=False,
             )
             + "\n"
         )

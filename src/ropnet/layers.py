@@ -113,11 +113,6 @@ class GradTape:
         return self._grads.get(id(x))
 
 
-def backward(tape: GradTape, loss_grad):
-    """Populate parameter gradients from a recorded forward pass."""
-    tape.backward(loss_grad)
-
-
 class Module:
     """Base class: anything owning parameters and persistent buffers."""
 

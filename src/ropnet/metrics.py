@@ -8,6 +8,8 @@ All four measures take actuals first, predictions second:
   MAPE% = 100 * mean(|(y - p) / y|) over rows with |y| >= tolerance
 
 Rows excluded from MAPE are counted and reported, never hidden.
+Non-finite actuals or predictions are rejected rather than turned into
+NaN measures.
 """
 
 from __future__ import annotations
@@ -42,7 +44,10 @@ class MetricsReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
+        return (
+            json.dumps(self.to_dict(), indent=2, sort_keys=True, allow_nan=False)
+            + "\n"
+        )
 
 
 def compute_metrics(actual, predicted, zero_tolerance: float = MAPE_ZERO_TOLERANCE) -> MetricsReport:
@@ -52,6 +57,13 @@ def compute_metrics(actual, predicted, zero_tolerance: float = MAPE_ZERO_TOLERAN
         raise DimensionError(
             f"actuals {actual.shape} and predictions {predicted.shape} differ"
         )
+    for label, values in (("actuals", actual), ("predictions", predicted)):
+        bad = np.flatnonzero(~np.isfinite(values))
+        if bad.size:
+            raise UndefinedMetricError(
+                f"{label} hold {bad.size} non-finite values, the first at "
+                f"index {bad[0]}"
+            )
     n = actual.size
     if n < 2:
         raise InsufficientDataError(

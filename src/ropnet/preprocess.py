@@ -16,14 +16,16 @@ are computed after inverting it.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     ConstantColumnError,
     DataError,
     EncodingError,
+    IncompatibleCheckpointError,
     InsufficientDataError,
     RangeError,
     SchemaError,
@@ -31,13 +33,6 @@ from .errors import (
     WindowError,
 )
 from .tensor import SeededRng
-
-SER = "SER"
-HHP = "HHP"
-DERIVED_NAMES = (SER, HHP)
-_SER_SOURCES = ("Torque", "RPM", "WOB")
-_HHP_SOURCES = ("Flow Rate", "Standpipe Pressure")
-_EPS_DENOM = 1e-12
 
 
 @dataclass
@@ -167,57 +162,13 @@ def one_hot(values, vocab: list[str]) -> np.ndarray:
     return out
 
 
-def derive_features(features: np.ndarray, feature_names, target, which) -> tuple[np.ndarray, list[str]]:
-    """Compute opt-in engineered columns from raw (unscaled) values.
-
-    ``SER`` (specific energy ratio) is Torque * RPM / (WOB * target)
-    and therefore needs the target column; ``HHP`` (hydraulic
-    horsepower) is Flow Rate * Standpipe Pressure / 1714.  Vanishing
-    denominators yield NaN, which the imputation stage fills.
-    """
-    cols = []
-    names = []
-    lookup = {n: i for i, n in enumerate(feature_names)}
-
-    def col(name):
-        if name not in lookup:
-            raise SchemaError(
-                f"derived feature needs column {name!r}, not in "
-                f"{list(feature_names)}"
-            )
-        return features[:, lookup[name]]
-
-    for name in which:
-        if name == SER:
-            if target is None:
-                raise DataError(
-                    "SER is derived from the target column, which is absent"
-                )
-            torque, rpm, wob = (col(c) for c in _SER_SOURCES)
-            den = wob * target
-            with np.errstate(divide="ignore", invalid="ignore"):
-                val = np.where(
-                    np.abs(den) < _EPS_DENOM, np.nan, torque * rpm / den
-                )
-        elif name == HHP:
-            flow, pressure = (col(c) for c in _HHP_SOURCES)
-            val = flow * pressure / 1714.0
-        else:
-            raise SchemaError(
-                f"unknown derived feature {name!r}; available: {DERIVED_NAMES}"
-            )
-        cols.append(val)
-        names.append(name)
-    if not cols:
-        return features, list(feature_names)
-    return np.column_stack([features] + cols), list(feature_names) + names
-
-
 def make_windows(features: np.ndarray, target, window_len: int):
     """Overlapping windows of consecutive rows.
 
     Window m covers rows [m, m + L); its static vector and target come
-    from the final row, so N rows give N - L + 1 aligned samples.
+    from the final row, so N rows give N - L + 1 aligned samples.  The
+    windows are one contiguous array; statics and targets are views
+    into the inputs.
     """
     n = features.shape[0]
     if window_len < 1:
@@ -226,11 +177,14 @@ def make_windows(features: np.ndarray, target, window_len: int):
         raise WindowError(
             f"need at least {window_len} rows to build one window, got {n}"
         )
-    m = n - window_len + 1
-    windows = np.stack([features[i : i + window_len] for i in range(m)])
-    statics = features[window_len - 1 :].copy()
-    y = None if target is None else target[window_len - 1 :].copy()
-    return windows, statics, y
+    # The window axis comes last: [M, F, L] -> [M, L, F].  The windows
+    # are copied on purpose: freeing this large array raises glibc's
+    # heap-trim threshold; with a view, each training step re-faults the
+    # heap pages the previous step gave back.
+    view = sliding_window_view(features, window_len, axis=0).transpose(0, 2, 1)
+    statics = features[window_len - 1 :]
+    y = None if target is None else target[window_len - 1 :]
+    return np.ascontiguousarray(view), statics, y
 
 
 @dataclass
@@ -238,14 +192,13 @@ class PreprocessorState:
     """Everything needed to replay the fitted transform at inference.
 
     ``source_names`` are the raw continuous columns expected from a
-    dataset; ``feature_names`` are the post-derivation, post-encoding
-    columns the model actually consumes.
+    dataset; ``feature_names`` are the post-encoding columns the model
+    actually consumes.
     """
 
     feature_names: list[str]
     source_names: list[str]
     window_len: int
-    derived: list[str]
     fill_values: list[float]
     feat_mean: list[float]
     feat_std: list[float]
@@ -255,22 +208,20 @@ class PreprocessorState:
     vocab: dict[str, list[str]] = field(default_factory=dict)
 
     def to_dict(self):
-        return {
-            "feature_names": list(self.feature_names),
-            "source_names": list(self.source_names),
-            "window_len": self.window_len,
-            "derived": list(self.derived),
-            "fill_values": list(self.fill_values),
-            "feat_mean": list(self.feat_mean),
-            "feat_std": list(self.feat_std),
-            "target_name": self.target_name,
-            "target_mean": self.target_mean,
-            "target_std": self.target_std,
-            "vocab": {k: list(v) for k, v in self.vocab.items()},
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d):
+        # Older version-1 headers carry a "derived" list of engineered
+        # columns.  An empty one changes nothing; a non-empty one names
+        # columns this transform cannot compute.
+        d = dict(d)
+        derived = d.pop("derived", [])
+        if derived:
+            raise IncompatibleCheckpointError(
+                f"checkpoint needs derived features {derived}, which this "
+                f"version does not compute"
+            )
         return cls(**d)
 
 
@@ -300,7 +251,7 @@ def inverse_target(state: PreprocessorState, y: np.ndarray) -> np.ndarray:
 
 
 def _assemble_columns(dataset, state: PreprocessorState, fit_rows=None):
-    """Impute, derive, encode, and scale all rows into one matrix.
+    """Impute, encode, and scale all rows into one matrix.
 
     With ``fit_rows`` given, fills, vocabularies, and scaler moments
     are (re)fitted on those rows and written into ``state``; otherwise
@@ -320,22 +271,6 @@ def _assemble_columns(dataset, state: PreprocessorState, fit_rows=None):
             col = numeric[:, j].copy()
             col[np.isnan(col)] = fills[j]
             imputed[:, j] = col
-
-    target = getattr(dataset, "target", None)
-    if state.derived:
-        full, names = derive_features(imputed, names, target, state.derived)
-        derived_block = full[:, numeric.shape[1] :]
-        for j in range(derived_block.shape[1]):
-            k = numeric.shape[1] + j
-            if fitting:
-                derived_block[:, j], fill = impute_mean(
-                    derived_block[:, j], fit_rows
-                )
-                fills.append(fill)
-            else:
-                col = derived_block[:, j]
-                col[np.isnan(col)] = fills[k]
-        imputed = full
 
     blocks = [imputed]
     n_scaled = imputed.shape[1]
@@ -376,7 +311,6 @@ def fit_pipeline(
     window_len: int = 1,
     train_fraction: float = 0.8,
     split_seed: int = 42,
-    derived=(),
     target_name: str = "ROP",
 ) -> tuple[PreprocessorState, PreparedData]:
     """Fit the full transform on a labelled dataset and window it."""
@@ -396,7 +330,6 @@ def fit_pipeline(
         feature_names=list(dataset.feature_names),
         source_names=list(dataset.feature_names),
         window_len=window_len,
-        derived=list(derived),
         fill_values=[],
         feat_mean=[],
         feat_std=[],
@@ -420,7 +353,7 @@ def fit_pipeline(
     }
 
     windows, statics, y_w = make_windows(matrix, y_scaled, window_len)
-    _, _, y_w_raw = make_windows(matrix, y_raw, window_len)
+    y_w_raw = y_raw[window_len - 1 :]
     tr, te = split.train, split.test
     prepared = PreparedData(
         feature_names=list(state.feature_names),

@@ -1,9 +1,7 @@
 """Dense tensor primitives and a deterministic, seedable PRNG.
 
-Tensors are plain ``numpy.ndarray`` objects: contiguous, row-major,
-64-bit floats, rank 1 to 3.  ``as_tensor`` is the validating
-constructor; the kernels below check shapes and delegate the inner
-loops to numpy.
+Tensors are plain ``numpy.ndarray`` objects holding 64-bit floats;
+the one kernel here is a numerically stable softmax.
 
 Randomness comes from :class:`SeededRng`, a SplitMix64 counter
 generator.  The algorithm is fixed and documented here rather than
@@ -24,48 +22,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionError, RangeError
+from .errors import RangeError
 
 Tensor = np.ndarray
-
-MAX_RANK = 3
 
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _U53 = np.float64(1.0 / (1 << 53))
-
-
-def as_tensor(data, shape=None) -> Tensor:
-    """Validate ``data`` as a rank-1..3 float64 row-major tensor.
-
-    Copies only when the input is not already contiguous float64.
-    Raises DimensionError for bad ranks and RangeError for non-finite
-    values.
-    """
-    arr = np.ascontiguousarray(data, dtype=np.float64)
-    if shape is not None:
-        arr = arr.reshape(shape)
-    if not 1 <= arr.ndim <= MAX_RANK:
-        raise DimensionError(f"tensor rank must be 1..{MAX_RANK}, got {arr.ndim}")
-    if not np.all(np.isfinite(arr)):
-        raise RangeError("tensor contains non-finite values")
-    return arr
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Rank-2 matrix product c[i,j] = sum_p a[i,p] b[p,j]."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 2 or b.ndim != 2:
-        raise DimensionError(
-            f"matmul needs rank-2 operands, got shapes {a.shape} and {b.shape}"
-        )
-    if a.shape[1] != b.shape[0]:
-        raise DimensionError(
-            f"matmul inner extents differ: {a.shape} x {b.shape}"
-        )
-    return a @ b
 
 
 def softmax_last_axis(x: Tensor) -> Tensor:
@@ -84,9 +48,9 @@ def softmax_last_axis(x: Tensor) -> Tensor:
 class SeededRng:
     """SplitMix64 stream; identical seeds give identical sequences.
 
-    The generator is single-threaded by design.  Code that needs
-    independent parallel streams must derive children with
-    :meth:`spawn` instead of sharing one instance.
+    The generator is single-threaded by design: code that needs
+    independent streams creates one instance per stream, each with its
+    own seed, instead of sharing one.
     """
 
     def __init__(self, seed: int):
@@ -101,10 +65,6 @@ class SeededRng:
             z = (z ^ (z >> np.uint64(30))) * _MIX1
             z = (z ^ (z >> np.uint64(27))) * _MIX2
             return z ^ (z >> np.uint64(31))
-
-    def next_u64(self) -> int:
-        """Single raw 64-bit draw."""
-        return int(self._next_block(1)[0])
 
     def uniform(self, shape, lo: float = 0.0, hi: float = 1.0) -> Tensor:
         """Tensor of i.i.d. draws from [lo, hi)."""
@@ -132,16 +92,3 @@ class SeededRng:
     def permutation(self, n: int) -> np.ndarray:
         """Deterministic permutation of range(n) by sorting random keys."""
         return np.argsort(self.uniform(n), kind="stable")
-
-    def shuffle(self, values: np.ndarray) -> np.ndarray:
-        """Shuffled copy of a 1-D array."""
-        return np.asarray(values)[self.permutation(len(values))]
-
-    def spawn(self) -> "SeededRng":
-        """Child generator with a seed drawn from this stream."""
-        return SeededRng(self.next_u64())
-
-
-def seeded_uniform(rng: SeededRng, shape, lo: float, hi: float) -> Tensor:
-    """Functional form of :meth:`SeededRng.uniform`."""
-    return rng.uniform(shape, lo, hi)

@@ -242,12 +242,12 @@ def load_checkpoint(path) -> tuple[Model, PreprocessorState | None]:
         try:
             header = json.loads(_read_exact(f, json_len).decode("utf-8"))
             spec = ModelSpec.from_dict(header["model_spec"])
+            pre = header.get("preprocessor")
+            preprocessor = None if pre is None else PreprocessorState.from_dict(pre)
         except (ValueError, KeyError, TypeError) as exc:
             raise CorruptCheckpointError(
                 f"unreadable checkpoint header: {exc}"
             ) from exc
-        pre = header.get("preprocessor")
-        preprocessor = None if pre is None else PreprocessorState.from_dict(pre)
 
         model = build_model(spec, SeededRng(0))
         arrays = dict(model.state_arrays())

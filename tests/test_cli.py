@@ -6,6 +6,9 @@ exercising the real artifact formats and exit codes.
 """
 
 import json
+import re
+import struct
+from dataclasses import fields
 
 import pytest
 
@@ -22,6 +25,27 @@ def write_config(path, **overrides):
         lines.append(f"{key} = {value}\n")
     path.write_text("".join(lines))
     return str(path)
+
+
+def rewrite_preprocessor(src, dst, **changes):
+    """Copy a checkpoint with keys of its preprocessor header replaced."""
+    blob = src.read_bytes()
+    (json_len,) = struct.unpack("<I", blob[8:12])
+    header = json.loads(blob[12 : 12 + json_len])
+    header["preprocessor"].update(changes)
+    payload = json.dumps(header, sort_keys=True).encode("utf-8")
+    dst.write_bytes(
+        blob[:8] + struct.pack("<I", len(payload)) + payload + blob[12 + json_len :]
+    )
+    return dst
+
+
+def blank_target_cell(src, dst, row):
+    """Copy a CSV with the last cell of data row ``row`` (from 1) emptied."""
+    lines = src.read_text().splitlines(keepends=True)
+    lines[row] = lines[row].rsplit(",", 1)[0] + ",\n"
+    dst.write_text("".join(lines))
+    return dst
 
 
 @pytest.fixture(scope="module")
@@ -258,6 +282,71 @@ class TestEval:
         assert "preprocessor" in capsys.readouterr().err
 
 
+    def test_extra_preprocessor_key_is_corrupt(self, pipeline, tmp_path, capsys):
+        ckpt = rewrite_preprocessor(
+            pipeline["ckpt"], tmp_path / "extra.roph", surprise=1
+        )
+        rc = main(
+            [
+                "eval",
+                "--checkpoint",
+                str(ckpt),
+                "--data",
+                str(pipeline["csv"]),
+                "--out",
+                str(tmp_path),
+            ]
+        )
+        assert rc == 3
+        assert "unreadable checkpoint header" in capsys.readouterr().err
+
+    def test_older_header_with_empty_derived_list_still_scores(self, pipeline, tmp_path):
+        older = rewrite_preprocessor(pipeline["ckpt"], tmp_path / "v1.roph", derived=[])
+        for ckpt, out in ((older, "older"), (pipeline["ckpt"], "current")):
+            argv = ["eval", "--checkpoint", str(ckpt), "--data", str(pipeline["csv"])]
+            assert main(argv + ["--out", str(tmp_path / out)]) == 0
+        name = "metrics_ts_mixer.json"
+        assert (tmp_path / "older" / name).read_bytes() == (
+            tmp_path / "current" / name
+        ).read_bytes()
+
+    def test_header_with_derived_features_is_incompatible(self, pipeline, tmp_path, capsys):
+        ckpt = rewrite_preprocessor(
+            pipeline["ckpt"], tmp_path / "ser.roph", derived=["SER"]
+        )
+        rc = main(
+            [
+                "eval",
+                "--checkpoint",
+                str(ckpt),
+                "--data",
+                str(pipeline["csv"]),
+                "--out",
+                str(tmp_path),
+            ]
+        )
+        assert rc == 3
+        assert "SER" in capsys.readouterr().err
+
+    def test_missing_target_cell_exits_3_without_artifact(self, pipeline, tmp_path, capsys):
+        data = blank_target_cell(pipeline["csv"], tmp_path / "gap.csv", row=57)
+        out = tmp_path / "out"
+        rc = main(
+            [
+                "eval",
+                "--checkpoint",
+                str(pipeline["ckpt"]),
+                "--data",
+                str(data),
+                "--out",
+                str(out),
+            ]
+        )
+        assert rc == 3
+        assert "row 57" in capsys.readouterr().err
+        assert not (out / "metrics_ts_mixer.json").exists()
+
+
 class TestPredict:
     def test_with_actuals(self, pipeline, tmp_path):
         rc = main(
@@ -327,6 +416,25 @@ class TestExplain:
         assert len(payload["importances"]) == 8
         assert "most influential feature" in capsys.readouterr().out
 
+    def test_missing_target_cell_exits_3_without_artifact(self, pipeline, tmp_path, capsys):
+        data = blank_target_cell(pipeline["csv"], tmp_path / "gap.csv", row=12)
+        out = tmp_path / "out"
+        rc = main(
+            [
+                "explain",
+                "--checkpoint",
+                str(pipeline["ckpt"]),
+                "--data",
+                str(data),
+                "--out",
+                str(out),
+            ]
+        )
+        assert rc == 3
+        assert "row 12" in capsys.readouterr().err
+        assert not (out / "importance.csv").exists()
+        assert not (out / "importance.json").exists()
+
 
 class TestCompare:
     def test_table_covers_all_kinds_and_reruns_identically(self, pipeline, tmp_path):
@@ -359,6 +467,26 @@ class TestArgumentSurface:
         text = capsys.readouterr().out
         for key in ("model.kind", "train.lr", "data.synthetic.n_rows", "output.dir"):
             assert key in text
+
+    def test_help_table_matches_run_config(self, capsys, tmp_path):
+        """Each printed key parses, and its printed default is the default."""
+        with pytest.raises(SystemExit):
+            main(["train", "--help"])
+        text = capsys.readouterr().out
+        table = text.split("and defaults:\n", 1)[1].split("\n\n", 1)[0]
+        rows = table.splitlines()
+        assert len(rows) == len(fields(RunConfig))
+        assert all(row == row.rstrip() for row in rows)
+        # keys and defaults start in the same column on every row
+        columns = {re.match(r"  (\S+) +(\S+)", row).span(2)[0] for row in rows}
+        assert len(columns) == 1 and all(row.startswith("  ") for row in rows)
+        lines = []
+        for row in rows:
+            key, shown = row.split()[:2]
+            lines.append(f"{key} = {'' if shown == '(unset)' else shown}\n")
+        path = tmp_path / "printed.cfg"
+        path.write_text("".join(lines))
+        assert parse_config(str(path)) == RunConfig()
 
     def test_subcommand_required(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -162,6 +162,12 @@ class TestImportanceReport:
         assert payload["base_mse"] == 1.25
         assert payload["importances"] == {"a": 0.5, "b": 2.0, "c": -0.01}
 
+    def test_json_refuses_nan(self):
+        report = self._report()
+        report.importances[1] = float("nan")
+        with pytest.raises(ValueError):
+            report.to_json()
+
 
 class TestLocalSurrogate:
     @pytest.mark.parametrize("seed", [0, 1, 2])

@@ -111,6 +111,16 @@ class TestErrors:
         with pytest.raises(DimensionError):
             compute_metrics(np.ones(3), np.ones(4))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_input_rejected(self, bad):
+        actual, predicted = TEN_POINT[0].copy(), TEN_POINT[1].copy()
+        actual[3] = bad
+        with pytest.raises(UndefinedMetricError, match="actuals"):
+            compute_metrics(actual, TEN_POINT[1])
+        predicted[0] = bad
+        with pytest.raises(UndefinedMetricError, match="predictions"):
+            compute_metrics(TEN_POINT[0], predicted)
+
     def test_column_vectors_accepted(self):
         report = compute_metrics(TWO_POINT[0][:, None], TWO_POINT[1][:, None])
         assert report.n == 2
@@ -122,6 +132,12 @@ class TestSerialization:
         payload = json.loads(report.to_json())
         assert set(payload) == {"r2", "mae", "rmse", "mape_pct", "n", "mape_excluded"}
         assert payload["n"] == 10
+
+    def test_json_refuses_nan(self):
+        report = compute_metrics(*TEN_POINT)
+        report.r2 = float("nan")
+        with pytest.raises(ValueError):
+            report.to_json()
 
     def test_json_stable(self):
         report = compute_metrics(*TEN_POINT)

@@ -8,6 +8,7 @@ from ropnet.errors import (
     ConstantColumnError,
     DataError,
     EncodingError,
+    IncompatibleCheckpointError,
     InsufficientDataError,
     RangeError,
     SchemaError,
@@ -15,11 +16,8 @@ from ropnet.errors import (
     WindowError,
 )
 from ropnet.preprocess import (
-    HHP,
-    SER,
     PreprocessorState,
     apply_scaler,
-    derive_features,
     fit_pipeline,
     fit_standard_scaler,
     fit_vocabulary,
@@ -180,43 +178,6 @@ class TestOneHot:
         assert fit_vocabulary(["b", "a", "b", "c"]) == ["a", "b", "c"]
 
 
-class TestDerivedFeatures:
-    NAMES = ["Torque", "RPM", "WOB", "Flow Rate", "Standpipe Pressure"]
-
-    def test_ser_unit_example(self):
-        """Torque=2, RPM=3, WOB=1, target=6 gives 2*3/(1*6) = 1."""
-        feats = np.array([[2.0, 3.0, 1.0, 0.0, 0.0]])
-        out, names = derive_features(feats, self.NAMES, np.array([6.0]), [SER])
-        assert names == self.NAMES + [SER]
-        assert out[0, -1] == 1.0
-
-    def test_hhp_unit_example(self):
-        """Flow=1714, Pressure=1 gives 1714*1/1714 = 1."""
-        feats = np.array([[0.0, 0.0, 1.0, 1714.0, 1.0]])
-        out, names = derive_features(feats, self.NAMES, None, [HHP])
-        assert names == self.NAMES + [HHP]
-        assert out[0, -1] == 1.0
-
-    def test_zero_denominator_yields_missing(self):
-        feats = np.array([[2.0, 3.0, 0.0, 0.0, 0.0]])
-        out, _ = derive_features(feats, self.NAMES, np.array([6.0]), [SER])
-        assert np.isnan(out[0, -1])
-
-    def test_ser_without_target_rejected(self):
-        with pytest.raises(DataError):
-            derive_features(np.zeros((1, 5)), self.NAMES, None, [SER])
-
-    def test_unknown_derivation_rejected(self):
-        with pytest.raises(SchemaError):
-            derive_features(np.zeros((1, 5)), self.NAMES, None, ["MSE"])
-
-    def test_no_request_is_identity(self):
-        feats = np.ones((2, 5))
-        out, names = derive_features(feats, self.NAMES, None, [])
-        assert out is feats
-        assert names == self.NAMES
-
-
 class TestMakeWindows:
     def test_window_len_one_is_rowwise(self):
         feats = np.arange(12.0).reshape(6, 2)
@@ -250,6 +211,26 @@ class TestMakeWindows:
     def test_nonpositive_window(self):
         with pytest.raises(RangeError):
             make_windows(np.zeros((3, 2)), None, 0)
+
+    @pytest.mark.parametrize("window_len", [1, 3, 16])
+    def test_matches_stacked_slices(self, window_len):
+        feats = np.random.default_rng(window_len).normal(size=(40, 5))
+        y = np.arange(40.0)
+        windows, statics, targets = make_windows(feats, y, window_len)
+        m = 40 - window_len + 1
+        reference = np.stack([feats[i : i + window_len] for i in range(m)])
+        np.testing.assert_array_equal(windows, reference)
+        np.testing.assert_array_equal(statics, feats[window_len - 1 :])
+        np.testing.assert_array_equal(targets, y[window_len - 1 :])
+
+    def test_statics_and_targets_are_views(self):
+        feats = np.arange(24.0).reshape(8, 3)
+        y = np.arange(8.0)
+        windows, statics, targets = make_windows(feats, y, 4)
+        assert np.shares_memory(statics, feats)
+        assert np.shares_memory(targets, y)
+        assert windows.flags.c_contiguous
+        assert not np.shares_memory(windows, feats)
 
 
 def _synthetic(n_rows=200, seed=3):
@@ -321,16 +302,21 @@ class TestFitPipeline:
         state, prep = fit_pipeline(_synthetic(), window_len=1)
         assert set(prep.outliers) == set(state.feature_names)
 
-    def test_derived_features_appended(self):
-        state, prep = fit_pipeline(_synthetic(), window_len=1, derived=(SER, HHP))
-        assert state.feature_names[-2:] == [SER, HHP]
-        assert prep.train_windows.shape[-1] == 10
-        assert np.max(np.abs(prep.train_statics.mean(axis=0))) < 1e-9
-
     def test_state_dict_round_trip(self):
-        state, _ = fit_pipeline(_synthetic(), window_len=3, derived=(HHP,))
+        state, _ = fit_pipeline(_synthetic(), window_len=3)
         again = PreprocessorState.from_dict(state.to_dict())
         assert again == state
+
+    def test_empty_derived_list_from_older_headers_is_dropped(self):
+        state, _ = fit_pipeline(_synthetic(), window_len=3)
+        older = dict(state.to_dict(), derived=[])
+        assert PreprocessorState.from_dict(older) == state
+
+    def test_nonempty_derived_list_is_incompatible(self):
+        state, _ = fit_pipeline(_synthetic(), window_len=3)
+        older = dict(state.to_dict(), derived=["HHP"])
+        with pytest.raises(IncompatibleCheckpointError, match="HHP"):
+            PreprocessorState.from_dict(older)
 
 
 class TestCategoricalPipeline:
