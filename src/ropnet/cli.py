@@ -234,13 +234,12 @@ def _eval_inputs(args):
 
 
 def _labelled_windows(args, state, schema):
-    """Window a labelled CSV; every target cell must hold a finite number."""
+    """Window a labelled CSV; every target cell must hold a number."""
     dataset = load_csv(args.data, schema)
-    bad = np.flatnonzero(~np.isfinite(dataset.target))
+    bad = np.flatnonzero(np.isnan(dataset.target))
     if bad.size:
         raise DataError(
-            f"{args.data}: {state.target_name} is missing or not finite in "
-            f"row {bad[0] + 1}"
+            f"{args.data}: {state.target_name} is missing in row {bad[0] + 1}"
         )
     return transform(dataset, state)
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -102,17 +103,22 @@ def _parse_cell(text: str, row: int, column: str) -> float:
     if token == "" or token.lower() == "nan":
         return np.nan
     try:
-        return float(token)
+        value = float(token)
     except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
         raise ParseError(
-            f"cannot parse {text!r} as a number (row {row}, column {column!r})"
-        ) from None
+            f"cannot parse {text!r} as a finite number (row {row}, "
+            f"column {column!r})"
+        )
+    return value
 
 
 def load_csv(path, schema: DatasetSchema | None = None, require_target: bool = True) -> Dataset:
     """Read a CSV against a schema, preserving row order.
 
-    Empty cells and the token "nan" (any case) are missing values.
+    Empty cells and the token "nan" (any case) are missing values; any
+    other cell must parse as a finite number.
     Columns absent from the schema are ignored with a warning; schema
     columns absent from the header are an error, except that the
     target may be omitted when ``require_target`` is false.  Data rows

@@ -71,7 +71,7 @@ class TapeEmptyError(RopnetError):
 
 
 class DivergenceError(RopnetError):
-    """Training produced a non-finite loss or gradient."""
+    """Training produced a non-finite loss."""
 
 
 class CheckpointError(RopnetError):

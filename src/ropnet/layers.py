@@ -30,13 +30,8 @@ from .tensor import SeededRng, softmax_last_axis
 
 
 def _sigmoid(x):
-    # Stable in both tails: never exponentiates a positive argument.
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # tanh saturates in both tails, so no argument can overflow.
+    return 0.5 * (1.0 + np.tanh(0.5 * x))
 
 
 class Param:
@@ -349,6 +344,12 @@ class LstmStack(Module):
         c_t = f_t * c_{t-1} + i_t * g_t
         h_t = o_t * tanh(c_t)
 
+    Each layer stores its gates stacked: W [4H, D], U [4H, H] and b
+    [4H], with row blocks in the order i, f, o, g, so one step is one
+    ``x_t @ W.T + h @ U.T + b``.  The per-gate ``Param``s (``W_i``,
+    ``U_i``, ``b_i``, ...) are row-block views of the stacked values
+    and gradients; checkpoints store them one gate at a time.
+
     The backward pass unrolls these relations in reverse over the full
     sequence.  ``forward`` runs every layer; ``layer_forward`` exposes a
     single layer so callers can interleave other operations (e.g.
@@ -365,50 +366,30 @@ class LstmStack(Module):
         self.input_size = input_size
         self.hidden_size = hidden_size
         self.num_layers = num_layers
-        self._layers = []
+        H = hidden_size
+        # per layer: stacked (W, U, b) and their gradients, then the
+        # per-gate views in params() order
+        self._stacked = []
+        self._params = []
         for layer in range(num_layers):
-            in_dim = input_size if layer == 0 else hidden_size
-            prefix = f"{name}.l{layer}"
-            p = {}
-            for gate in self.GATES:
-                p[f"W_{gate}"] = Param(
-                    f"{prefix}.W_{gate}",
-                    _uniform_init(rng, (hidden_size, in_dim), in_dim),
-                )
-                p[f"U_{gate}"] = Param(
-                    f"{prefix}.U_{gate}",
-                    _uniform_init(rng, (hidden_size, hidden_size), hidden_size),
-                )
-                p[f"b_{gate}"] = Param(f"{prefix}.b_{gate}", np.zeros(hidden_size))
-            self._layers.append(p)
+            in_dim = self.layer_input_size(layer)
+            W, U, b = np.empty((4 * H, in_dim)), np.empty((4 * H, H)), np.zeros(4 * H)
+            grads = [np.zeros_like(W), np.zeros_like(U), np.zeros_like(b)]
+            self._stacked.append(((W, U, b), grads))
+            for k, gate in enumerate(self.GATES):
+                rows = slice(k * H, (k + 1) * H)
+                W[rows] = _uniform_init(rng, (H, in_dim), in_dim)
+                U[rows] = _uniform_init(rng, (H, H), H)
+                for arr, grad, stem in zip((W, U, b), grads, "WUb"):
+                    p = Param(f"{name}.l{layer}.{stem}_{gate}", arr[rows])
+                    p.grad = grad[rows]
+                    self._params.append(p)
 
     def params(self):
-        out = []
-        for p in self._layers:
-            for gate in self.GATES:
-                out += [p[f"W_{gate}"], p[f"U_{gate}"], p[f"b_{gate}"]]
-        return out
+        return list(self._params)
 
     def layer_input_size(self, layer):
         return self.input_size if layer == 0 else self.hidden_size
-
-    def step(self, layer, x_t, h_prev, c_prev):
-        """One recurrence step; returns (h, c, gates) with gates (i, f, o, g)."""
-        p = self._layers[layer]
-        pre = {}
-        for gate in self.GATES:
-            pre[gate] = (
-                x_t @ p[f"W_{gate}"].value.T
-                + h_prev @ p[f"U_{gate}"].value.T
-                + p[f"b_{gate}"].value
-            )
-        i = _sigmoid(pre["i"])
-        f = _sigmoid(pre["f"])
-        o = _sigmoid(pre["o"])
-        g = np.tanh(pre["g"])
-        c = f * c_prev + i * g
-        h = o * np.tanh(c)
-        return h, c, (i, f, o, g)
 
     def layer_forward(self, layer, x, tape=None):
         """Run one layer over a [B, T, D] sequence; returns [B, T, H]."""
@@ -422,47 +403,49 @@ class LstmStack(Module):
             )
         B, T, _ = x.shape
         H = self.hidden_size
+        (W, U, b), grads = self._stacked[layer]
         h = np.zeros((B, H))
         c = np.zeros((B, H))
         hs = np.empty((B, T, H))
         cache = []
         for t in range(T):
-            x_t = x[:, t, :]
-            h_new, c_new, (i, f, o, g) = self.step(layer, x_t, h, c)
-            cache.append((x_t, h, c, i, f, o, g, np.tanh(c_new)))
-            h, c = h_new, c_new
+            a = x[:, t, :] @ W.T + h @ U.T + b
+            a[:, : 3 * H] = _sigmoid(a[:, : 3 * H])
+            a[:, 3 * H :] = np.tanh(a[:, 3 * H :])
+            i, f, o, g = a[:, :H], a[:, H : 2 * H], a[:, 2 * H : 3 * H], a[:, 3 * H :]
+            c_prev = c
+            c = f * c_prev + i * g
+            tanh_c = np.tanh(c)
+            h = o * tanh_c
             hs[:, t, :] = h
+            if tape is not None:
+                cache.append((c_prev, i, f, o, g, tanh_c))
         if tape is None:
             return hs
-        p = self._layers[layer]
 
         def bwd(d_hs):
-            dx = np.zeros_like(x)
+            dW, dU, db = grads
+            da = np.empty((B, T, 4 * H))
             dh_next = np.zeros((B, H))
             dc_next = np.zeros((B, H))
             for t in reversed(range(T)):
-                x_t, h_prev, c_prev, i, f, o, g, tanh_c = cache[t]
+                c_prev, i, f, o, g, tanh_c = cache[t]
                 dh = d_hs[:, t, :] + dh_next
-                do = dh * tanh_c
                 dc = dc_next + dh * o * (1.0 - tanh_c * tanh_c)
-                da = {
-                    "i": dc * g * i * (1.0 - i),
-                    "f": dc * c_prev * f * (1.0 - f),
-                    "o": do * o * (1.0 - o),
-                    "g": dc * i * (1.0 - g * g),
-                }
+                da_t = da[:, t, :]
+                da_t[:, :H] = dc * g * i * (1.0 - i)
+                da_t[:, H : 2 * H] = dc * c_prev * f * (1.0 - f)
+                da_t[:, 2 * H : 3 * H] = dh * tanh_c * o * (1.0 - o)
+                da_t[:, 3 * H :] = dc * i * (1.0 - g * g)
                 dc_next = dc * f
-                dx_t = np.zeros_like(x_t)
-                dh_next = np.zeros((B, H))
-                for gate in self.GATES:
-                    dg = da[gate]
-                    p[f"W_{gate}"].grad += dg.T @ x_t
-                    p[f"U_{gate}"].grad += dg.T @ h_prev
-                    p[f"b_{gate}"].grad += dg.sum(axis=0)
-                    dx_t += dg @ p[f"W_{gate}"].value
-                    dh_next += dg @ p[f"U_{gate}"].value
-                dx[:, t, :] = dx_t
-            return (dx,)
+                dh_next = da_t @ U
+            da2 = da.reshape(B * T, 4 * H)
+            h_prev = np.zeros_like(hs)
+            h_prev[:, 1:] = hs[:, :-1]
+            dW += da2.T @ x.reshape(B * T, -1)
+            dU += da2.T @ h_prev.reshape(B * T, H)
+            db += da2.sum(axis=0)
+            return ((da2 @ W).reshape(x.shape),)
 
         return tape.record((x,), hs, bwd)
 

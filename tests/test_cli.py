@@ -40,12 +40,17 @@ def rewrite_preprocessor(src, dst, **changes):
     return dst
 
 
-def blank_target_cell(src, dst, row):
-    """Copy a CSV with the last cell of data row ``row`` (from 1) emptied."""
-    lines = src.read_text().splitlines(keepends=True)
-    lines[row] = lines[row].rsplit(",", 1)[0] + ",\n"
-    dst.write_text("".join(lines))
+def set_cell(src, dst, row, column, text):
+    """Copy a CSV with cell ``column`` of data row ``row`` (from 1) replaced."""
+    lines = src.read_text().splitlines()
+    cells = lines[row].split(",")
+    cells[lines[0].split(",").index(column)] = text
+    lines[row] = ",".join(cells)
+    dst.write_text("\n".join(lines) + "\n")
     return dst
+
+
+NON_FINITE_CELLS = [("WOB", "inf"), ("ROP", "-inf"), ("Torque", "1e999")]
 
 
 @pytest.fixture(scope="module")
@@ -211,6 +216,21 @@ class TestTrain:
         assert rc == 4
         assert "epoch" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("column, text", NON_FINITE_CELLS)
+    def test_non_finite_cell_exits_3_without_artifact(
+        self, pipeline, tmp_path, capsys, column, text
+    ):
+        data = set_cell(pipeline["csv"], tmp_path / "bad.csv", 40, column, text)
+        cfg = write_config(
+            tmp_path / "run.cfg",
+            **{"model.kind": "ts_mixer", "train.epochs": 1, "data.path": data},
+        )
+        out = tmp_path / "out"
+        rc = main(["train", "--config", cfg, "--out", str(out)])
+        assert rc == 3
+        assert f"row 40, column {column!r}" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
 
 class TestEval:
     def test_scores_full_csv(self, pipeline, tmp_path, capsys):
@@ -329,7 +349,7 @@ class TestEval:
         assert "SER" in capsys.readouterr().err
 
     def test_missing_target_cell_exits_3_without_artifact(self, pipeline, tmp_path, capsys):
-        data = blank_target_cell(pipeline["csv"], tmp_path / "gap.csv", row=57)
+        data = set_cell(pipeline["csv"], tmp_path / "gap.csv", 57, "ROP", "")
         out = tmp_path / "out"
         rc = main(
             [
@@ -392,6 +412,27 @@ class TestPredict:
         assert lines[0] == "sample_index,predicted"
         assert len(lines) == 160
 
+    @pytest.mark.parametrize("column, text", NON_FINITE_CELLS)
+    def test_non_finite_cell_exits_3_without_artifact(
+        self, pipeline, tmp_path, capsys, column, text
+    ):
+        data = set_cell(pipeline["csv"], tmp_path / "bad.csv", 30, column, text)
+        out = tmp_path / "out"
+        rc = main(
+            [
+                "predict",
+                "--checkpoint",
+                str(pipeline["ckpt"]),
+                "--data",
+                str(data),
+                "--out",
+                str(out),
+            ]
+        )
+        assert rc == 3
+        assert f"row 30, column {column!r}" in capsys.readouterr().err
+        assert not (out / "predictions.csv").exists()
+
 
 class TestExplain:
     def test_importance_artifacts(self, pipeline, tmp_path, capsys):
@@ -417,7 +458,7 @@ class TestExplain:
         assert "most influential feature" in capsys.readouterr().out
 
     def test_missing_target_cell_exits_3_without_artifact(self, pipeline, tmp_path, capsys):
-        data = blank_target_cell(pipeline["csv"], tmp_path / "gap.csv", row=12)
+        data = set_cell(pipeline["csv"], tmp_path / "gap.csv", 12, "ROP", "")
         out = tmp_path / "out"
         rc = main(
             [
@@ -432,6 +473,28 @@ class TestExplain:
         )
         assert rc == 3
         assert "row 12" in capsys.readouterr().err
+        assert not (out / "importance.csv").exists()
+        assert not (out / "importance.json").exists()
+
+    @pytest.mark.parametrize("column, text", NON_FINITE_CELLS)
+    def test_non_finite_cell_exits_3_without_artifact(
+        self, pipeline, tmp_path, capsys, column, text
+    ):
+        data = set_cell(pipeline["csv"], tmp_path / "bad.csv", 12, column, text)
+        out = tmp_path / "out"
+        rc = main(
+            [
+                "explain",
+                "--checkpoint",
+                str(pipeline["ckpt"]),
+                "--data",
+                str(data),
+                "--out",
+                str(out),
+            ]
+        )
+        assert rc == 3
+        assert f"row 12, column {column!r}" in capsys.readouterr().err
         assert not (out / "importance.csv").exists()
         assert not (out / "importance.json").exists()
 

@@ -122,6 +122,15 @@ class TestCsvRoundTrip:
         with pytest.raises(ParseError, match=r"row 2.*'RPM'"):
             load_csv(path)
 
+    @pytest.mark.parametrize("text", ["inf", "-Infinity", "1e999"])
+    def test_non_finite_cell_names_row_and_column(self, tmp_path, text):
+        header = ",".join(DatasetSchema.default().feature_names + ["ROP"])
+        bad = ",".join(["1"] * 8 + [text])
+        path = tmp_path / "bad.csv"
+        path.write_text("\n".join([header, bad]) + "\n")
+        with pytest.raises(ParseError, match=r"row 1.*'ROP'"):
+            load_csv(path)
+
     def test_ragged_row_rejected(self, tmp_path):
         header = ",".join(DatasetSchema.default().feature_names + ["ROP"])
         path = tmp_path / "ragged.csv"

@@ -5,6 +5,8 @@ comparison and returning the worst absolute difference; the acceptance
 suite iterates the same registry.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from ropnet.layers import (
     LstmStack,
     MixerBlock,
     TransformerEncoderBlock,
+    _sigmoid,
     concat_features,
     dropout_apply,
     last_step,
@@ -34,7 +37,12 @@ def _max_abs(a, b):
 
 
 def _lstm_params(stack, layer):
-    return {k: p.value for k, p in stack._layers[layer].items()}
+    prefix = f"lstm.l{layer}."
+    return {
+        p.name[len(prefix):]: p.value
+        for p in stack.params()
+        if p.name.startswith(prefix)
+    }
 
 
 def check_linear_2d(seed):
@@ -209,6 +217,19 @@ FORWARD_CASES = {
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_forward_matches_loop_oracle(name, seed):
     assert FORWARD_CASES[name](seed) < 1e-12
+
+
+class TestSigmoid:
+    def test_matches_oracle(self):
+        x = np.linspace(-40.0, 40.0, 160001)
+        assert _max_abs(_sigmoid(x), oracles.sigmoid(x)) <= 1e-15
+
+    def test_extreme_arguments_stay_in_range_without_warning(self):
+        x = np.array([-1e308, -745.0, 745.0, 1e308])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            y = _sigmoid(x)
+        assert np.all((y >= 0.0) & (y <= 1.0))
 
 
 class TestLayerNormProperties:

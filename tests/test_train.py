@@ -1,5 +1,6 @@
 """Loss, optimizer, training loop, and checkpoint format."""
 
+import hashlib
 import struct
 
 import numpy as np
@@ -296,6 +297,17 @@ class TestCheckpoints:
         save_checkpoint(path, model, state)
         _, loaded_state = load_checkpoint(path)
         assert loaded_state == state
+
+    def test_fresh_checkpoint_bytes_are_pinned(self, tmp_path):
+        # the stacked LSTM gates are still stored one array per gate, so
+        # version-1 files written before the stacking load unchanged
+        spec = ModelSpec(kind=ADVANCED_HYBRID, input_features=8, window_len=4)
+        path = tmp_path / "fresh.roph"
+        save_checkpoint(path, build_model(spec, SeededRng(42)))
+        assert CHECKPOINT_VERSION == 1
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "fd7f56977f3d72eea981e15409c44f2bad370c881794ac4dbbf2442acac389ed"
+        )
 
     def test_bad_magic_rejected(self, tmp_path):
         _, path = self._trained(tmp_path)
