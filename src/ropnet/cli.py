@@ -13,16 +13,13 @@ problem, 4 numeric divergence during training.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import dataclass, field, fields
 from types import SimpleNamespace
 
-import numpy as np
-
 from .data import (
-    DatasetSchema,
-    FeatureSpec,
     SyntheticSpec,
     generate_synthetic,
     load_csv,
@@ -39,7 +36,7 @@ from .errors import (
 from .explain import permutation_importance
 from .metrics import compute_metrics
 from .models import ADVANCED_HYBRID, MODEL_KINDS, ModelSpec, build_model
-from .preprocess import fit_pipeline, inverse_target, transform
+from .preprocess import fit_pipeline, input_schema, inverse_target, transform
 from .tensor import SeededRng
 from .train import TrainConfig, load_checkpoint, save_checkpoint, train_model
 
@@ -121,11 +118,16 @@ def parse_config(path: str | None) -> RunConfig:
         f = _FIELDS[key]
         kind = type(f.default)
         try:
-            setattr(cfg, f.name, kind(raw))
+            value = kind(raw)
         except ValueError:
             raise ConfigurationError(
                 f"config key {key!r} needs a {kind.__name__}, got {raw!r}"
             ) from None
+        if kind is float and not math.isfinite(value):
+            raise ConfigurationError(
+                f"config key {key!r} needs a finite number, got {raw!r}"
+            )
+        setattr(cfg, f.name, value)
     return cfg
 
 
@@ -218,35 +220,20 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _eval_inputs(args):
-    """Load a checkpoint plus a CSV shaped like its training data."""
+def _eval_inputs(args, require_target=True):
+    """Load a checkpoint and window a CSV shaped like its training data."""
     model, state = load_checkpoint(args.checkpoint)
     if state is None:
         raise DataError(
             f"{args.checkpoint} carries no preprocessor state; it cannot "
             f"score raw CSV rows"
         )
-    columns = [FeatureSpec(n, "") for n in state.source_names]
-    columns += [FeatureSpec(n, "", "categorical") for n in sorted(state.vocab)]
-    columns.append(FeatureSpec(state.target_name, "", "target"))
-    schema = DatasetSchema(columns=tuple(columns))
-    return model, state, schema
-
-
-def _labelled_windows(args, state, schema):
-    """Window a labelled CSV; every target cell must hold a number."""
-    dataset = load_csv(args.data, schema)
-    bad = np.flatnonzero(np.isnan(dataset.target))
-    if bad.size:
-        raise DataError(
-            f"{args.data}: {state.target_name} is missing in row {bad[0] + 1}"
-        )
-    return transform(dataset, state)
+    dataset = load_csv(args.data, input_schema(state), require_target)
+    return model, state, transform(dataset, state)
 
 
 def cmd_eval(args) -> int:
-    model, state, schema = _eval_inputs(args)
-    windows, statics, y_raw = _labelled_windows(args, state, schema)
+    model, state, (windows, statics, y_raw) = _eval_inputs(args)
     pred = inverse_target(state, model.predict(windows, statics))
     report = compute_metrics(y_raw, pred)
     out = _ensure_out(args, RunConfig())
@@ -261,9 +248,9 @@ def cmd_eval(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    model, state, schema = _eval_inputs(args)
-    dataset = load_csv(args.data, schema, require_target=False)
-    windows, statics, y_raw = transform(dataset, state)
+    model, state, (windows, statics, y_raw) = _eval_inputs(
+        args, require_target=False
+    )
     pred = inverse_target(state, model.predict(windows, statics))
     out = _ensure_out(args, RunConfig())
     lines = []
@@ -314,8 +301,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_explain(args) -> int:
-    model, state, schema = _eval_inputs(args)
-    windows, statics, y_raw = _labelled_windows(args, state, schema)
+    model, state, (windows, statics, y_raw) = _eval_inputs(args)
     raw_model = SimpleNamespace(
         predict=lambda w, s: inverse_target(state, model.predict(w, s))
     )

@@ -98,9 +98,13 @@ class Dataset:
         return self.features.shape[0]
 
 
-def _parse_cell(text: str, row: int, column: str) -> float:
+def _parse_cell(text: str, row: int, column: str, required: bool = False) -> float:
     token = text.strip()
     if token == "" or token.lower() == "nan":
+        if required:
+            raise ParseError(
+                f"missing value in a required column (row {row}, column {column!r})"
+            )
         return np.nan
     try:
         value = float(token)
@@ -118,7 +122,8 @@ def load_csv(path, schema: DatasetSchema | None = None, require_target: bool = T
     """Read a CSV against a schema, preserving row order.
 
     Empty cells and the token "nan" (any case) are missing values; any
-    other cell must parse as a finite number.
+    other cell must parse as a finite number.  A target column, when
+    present, must be complete.
     Columns absent from the schema are ignored with a warning; schema
     columns absent from the header are an error, except that the
     target may be omitted when ``require_target`` is false.  Data rows
@@ -172,6 +177,7 @@ def load_csv(path, schema: DatasetSchema | None = None, require_target: bool = T
                         row[positions[schema.target_name]],
                         row_no,
                         schema.target_name,
+                        required=True,
                     )
                 )
             for n in schema.categorical_names:

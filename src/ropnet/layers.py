@@ -131,14 +131,14 @@ def _uniform_init(rng: SeededRng, shape, fan_in: int):
 class Linear(Module):
     """Affine map on the last axis; accepts [B, in] or [B, T, in]."""
 
-    def __init__(self, in_dim, out_dim, rng, name, bias=True):
+    def __init__(self, in_dim, out_dim, rng, name):
         self.in_dim = in_dim
         self.out_dim = out_dim
         self.W = Param(f"{name}.W", _uniform_init(rng, (out_dim, in_dim), in_dim))
-        self.b = Param(f"{name}.b", np.zeros(out_dim)) if bias else None
+        self.b = Param(f"{name}.b", np.zeros(out_dim))
 
     def params(self):
-        return [self.W] + ([self.b] if self.b is not None else [])
+        return [self.W, self.b]
 
     def forward(self, x, tape=None):
         if x.shape[-1] != self.in_dim:
@@ -146,9 +146,7 @@ class Linear(Module):
                 f"linear layer expects width {self.in_dim}, got input "
                 f"shape {x.shape}"
             )
-        y = x @ self.W.value.T
-        if self.b is not None:
-            y = y + self.b.value
+        y = x @ self.W.value.T + self.b.value
         if tape is None:
             return y
         W, b = self.W, self.b
@@ -157,8 +155,7 @@ class Linear(Module):
             d2 = d.reshape(-1, d.shape[-1])
             x2 = x.reshape(-1, x.shape[-1])
             W.grad += d2.T @ x2
-            if b is not None:
-                b.grad += d2.sum(axis=0)
+            b.grad += d2.sum(axis=0)
             return ((d2 @ W.value).reshape(x.shape),)
 
         return tape.record((x,), y, bwd)
@@ -560,6 +557,7 @@ class MixerBlock(Module):
 
     STANDALONE = "standalone"
     BRANCH = "branch"
+    STANDALONE_DEPTH = 4
 
     def __init__(
         self,
@@ -569,7 +567,6 @@ class MixerBlock(Module):
         name="mixer",
         hidden_dim=128,
         branch_dims=(128, 64),
-        standalone_depth=4,
     ):
         if variant not in (self.STANDALONE, self.BRANCH):
             raise ConfigurationError(f"unknown mixer variant {variant!r}")
@@ -579,7 +576,7 @@ class MixerBlock(Module):
         self._norms = []
         if variant == self.STANDALONE:
             self.output_dim = 1
-            widths = [input_dim, hidden_dim] + [hidden_dim] * standalone_depth
+            widths = [input_dim, hidden_dim] + [hidden_dim] * self.STANDALONE_DEPTH
             for idx in range(len(widths) - 1):
                 self._linears.append(
                     Linear(widths[idx], widths[idx + 1], rng, f"{name}.h{idx}")

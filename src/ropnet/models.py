@@ -28,7 +28,6 @@ from .errors import ConfigurationError, DimensionError
 from .layers import (
     AttentionPool,
     FusionHead,
-    GradTape,
     Linear,
     LstmStack,
     MixerBlock,

@@ -4,8 +4,8 @@ Fit order matters and is leak-free: the window-index split is decided
 first (it needs only the row count), then every statistic (imputation
 fills, one-hot vocabularies, scaler moments, outlier fences) is fitted
 on training rows only, where the training rows are the final rows of
-training windows.  All rows are then transformed with the fitted state
-and assembled into overlapping windows.
+training windows.  All rows are then windowed by ``transform``, the
+same function that scores new data, and the windows are split.
 
 Scaling uses the population standard deviation.  One-hot columns pass
 through the scaler with mean 0 and scale 1 so the transform stays a
@@ -21,6 +21,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .data import CATEGORICAL, TARGET, DatasetSchema, FeatureSpec
 from .errors import (
     ConstantColumnError,
     DataError,
@@ -250,60 +251,13 @@ def inverse_target(state: PreprocessorState, y: np.ndarray) -> np.ndarray:
     return invert_scaler(y, state.target_mean, state.target_std)
 
 
-def _assemble_columns(dataset, state: PreprocessorState, fit_rows=None):
-    """Impute, encode, and scale all rows into one matrix.
-
-    With ``fit_rows`` given, fills, vocabularies, and scaler moments
-    are (re)fitted on those rows and written into ``state``; otherwise
-    the recorded state is applied as-is.
-    """
-    fitting = fit_rows is not None
-    numeric = np.asarray(dataset.features, dtype=np.float64)
-    names = list(dataset.feature_names)
-
-    imputed = np.empty_like(numeric)
-    fills = [] if fitting else list(state.fill_values)
-    for j in range(numeric.shape[1]):
-        if fitting:
-            imputed[:, j], fill = impute_mean(numeric[:, j], fit_rows)
-            fills.append(fill)
-        else:
-            col = numeric[:, j].copy()
-            col[np.isnan(col)] = fills[j]
-            imputed[:, j] = col
-
-    blocks = [imputed]
-    n_scaled = imputed.shape[1]
-    categoricals = getattr(dataset, "categoricals", {}) or {}
-    for cat_name in sorted(categoricals):
-        tokens = categoricals[cat_name]
-        if fitting:
-            state.vocab[cat_name] = fit_vocabulary(tokens)
-        vocab = state.vocab[cat_name]
-        blocks.append(one_hot(tokens, vocab))
-        names += [f"{cat_name}={tok}" for tok in vocab]
-    matrix = np.hstack(blocks) if len(blocks) > 1 else imputed
-
-    if fitting:
-        mean, std = fit_standard_scaler(
-            matrix[fit_rows][:, :n_scaled], names[:n_scaled]
-        )
-        full_mean = np.zeros(matrix.shape[1])
-        full_std = np.ones(matrix.shape[1])
-        full_mean[:n_scaled] = mean
-        full_std[:n_scaled] = std
-        state.fill_values = fills
-        state.feat_mean = full_mean.tolist()
-        state.feat_std = full_std.tolist()
-        state.feature_names = names
-    elif names != list(state.feature_names):
-        raise SchemaError(
-            f"columns {names} do not match the fitted transform "
-            f"{list(state.feature_names)}"
-        )
-    return apply_scaler(
-        matrix, np.asarray(state.feat_mean), np.asarray(state.feat_std)
-    )
+def input_schema(state: PreprocessorState) -> DatasetSchema:
+    """The columns ``transform`` needs: the fitted continuous and
+    categorical sources plus the target."""
+    columns = [FeatureSpec(n, "") for n in state.source_names]
+    columns += [FeatureSpec(n, "", CATEGORICAL) for n in sorted(state.vocab)]
+    columns.append(FeatureSpec(state.target_name, "", TARGET))
+    return DatasetSchema(columns=tuple(columns))
 
 
 def fit_pipeline(
@@ -313,7 +267,8 @@ def fit_pipeline(
     split_seed: int = 42,
     target_name: str = "ROP",
 ) -> tuple[PreprocessorState, PreparedData]:
-    """Fit the full transform on a labelled dataset and window it."""
+    """Fit the transform on the training rows, then window every row
+    with ``transform`` and split the windows."""
     if dataset.target is None:
         raise DataError("fitting requires the target column")
     n = dataset.features.shape[0]
@@ -322,51 +277,56 @@ def fit_pipeline(
             f"need more than {window_len} rows to fit with window length "
             f"{window_len}, got {n}"
         )
-    m = n - window_len + 1
-    split = split_train_test(m, train_fraction, split_seed)
-    fit_rows = split.train + window_len - 1
-
-    state = PreprocessorState(
-        feature_names=list(dataset.feature_names),
-        source_names=list(dataset.feature_names),
-        window_len=window_len,
-        fill_values=[],
-        feat_mean=[],
-        feat_std=[],
-        target_name=target_name,
-        target_mean=0.0,
-        target_std=1.0,
-    )
-    matrix = _assemble_columns(dataset, state, fit_rows=fit_rows)
-
     y_raw = np.asarray(dataset.target, dtype=np.float64)
     if np.isnan(y_raw).any():
         raise DataError("target column contains missing values")
-    t_mean, t_std = fit_standard_scaler(y_raw[fit_rows, None], [target_name])
-    state.target_mean = float(t_mean[0])
-    state.target_std = float(t_std[0])
-    y_scaled = transform_target(state, y_raw)
+    split = split_train_test(n - window_len + 1, train_fraction, split_seed)
+    fit_rows = split.train + window_len - 1
 
-    outliers = {
-        name: iqr_outlier_report(matrix[fit_rows, j])
-        for j, name in enumerate(state.feature_names)
+    features = np.asarray(dataset.features, dtype=np.float64)
+    fills = [impute_mean(col, fit_rows)[1] for col in features.T]
+    train_rows = features[fit_rows]
+    sources = list(dataset.feature_names)
+    mean, std = fit_standard_scaler(
+        np.where(np.isnan(train_rows), fills, train_rows), sources
+    )
+    vocab = {
+        c: fit_vocabulary([tokens[i] for i in fit_rows])
+        for c, tokens in sorted(dataset.categoricals.items())
     }
+    one_hot_names = [f"{c}={tok}" for c in vocab for tok in vocab[c]]
+    t_mean, t_std = fit_standard_scaler(y_raw[fit_rows, None], [target_name])
+    state = PreprocessorState(
+        feature_names=sources + one_hot_names,
+        source_names=sources,
+        window_len=window_len,
+        fill_values=fills,
+        feat_mean=mean.tolist() + [0.0] * len(one_hot_names),
+        feat_std=std.tolist() + [1.0] * len(one_hot_names),
+        target_name=target_name,
+        target_mean=float(t_mean[0]),
+        target_std=float(t_std[0]),
+        vocab=vocab,
+    )
 
-    windows, statics, y_w = make_windows(matrix, y_scaled, window_len)
-    y_w_raw = y_raw[window_len - 1 :]
+    windows, statics, y_w_raw = transform(dataset, state)
     tr, te = split.train, split.test
+    train_statics = statics[tr]
     prepared = PreparedData(
         feature_names=list(state.feature_names),
         split=split,
         train_windows=windows[tr],
-        train_statics=statics[tr],
-        train_y=y_w[tr],
+        train_statics=train_statics,
+        train_y=transform_target(state, y_w_raw[tr]),
         test_windows=windows[te],
         test_statics=statics[te],
-        test_y=y_w[te],
+        test_y=transform_target(state, y_w_raw[te]),
         train_y_raw=y_w_raw[tr],
         test_y_raw=y_w_raw[te],
-        outliers=outliers,
+        outliers={
+            name: iqr_outlier_report(train_statics[:, j])
+            for j, name in enumerate(state.feature_names)
+        },
     )
     return state, prepared
 
@@ -378,7 +338,22 @@ def transform(dataset, state: PreprocessorState):
     The raw (unscaled) target slice is returned when the dataset has
     one, else None.
     """
-    matrix = _assemble_columns(dataset, state)
-    target = getattr(dataset, "target", None)
-    windows, statics, y_raw = make_windows(matrix, target, state.window_len)
-    return windows, statics, y_raw
+    schema = input_schema(state)
+    expected = schema.feature_names + schema.categorical_names
+    columns = list(dataset.feature_names) + sorted(dataset.categoricals)
+    if columns != expected:
+        raise SchemaError(
+            f"columns {columns} do not match the fitted transform's inputs "
+            f"{expected}"
+        )
+    numeric = np.asarray(dataset.features, dtype=np.float64)
+    matrix = np.where(np.isnan(numeric), state.fill_values, numeric)
+    blocks = [
+        one_hot(dataset.categoricals[c], state.vocab[c])
+        for c in schema.categorical_names
+    ]
+    if blocks:
+        matrix = np.hstack([matrix, *blocks])
+    matrix -= state.feat_mean
+    matrix /= state.feat_std
+    return make_windows(matrix, dataset.target, state.window_len)

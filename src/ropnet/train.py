@@ -24,6 +24,7 @@ Checkpoint layout (all integers little-endian):
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -216,12 +217,13 @@ def save_checkpoint(path, model: Model, preprocessor: PreprocessorState | None =
 
 
 def _read_exact(f, count: int) -> bytes:
-    buf = f.read(count)
-    if len(buf) != count:
+    # a corrupt length must not size an allocation past the file's end
+    left = os.fstat(f.fileno()).st_size - f.tell()
+    if count > left:
         raise CorruptCheckpointError(
-            f"truncated checkpoint: wanted {count} bytes, got {len(buf)}"
+            f"truncated checkpoint: wanted {count} bytes, {left} left"
         )
-    return buf
+    return f.read(count)
 
 
 def load_checkpoint(path) -> tuple[Model, PreprocessorState | None]:
@@ -252,6 +254,8 @@ def load_checkpoint(path) -> tuple[Model, PreprocessorState | None]:
         model = build_model(spec, SeededRng(0))
         arrays = dict(model.state_arrays())
         seen = set()
+        # Each field is checked against the model before the next one
+        # is read, so a corrupt rank or extent never sizes an allocation.
         while True:
             sizes = f.read(4)
             if not sizes:
@@ -259,26 +263,28 @@ def load_checkpoint(path) -> tuple[Model, PreprocessorState | None]:
             if len(sizes) != 4:
                 raise CorruptCheckpointError("truncated record header")
             (name_len,) = struct.unpack("<I", sizes)
-            name = _read_exact(f, name_len).decode("utf-8")
-            (rank,) = struct.unpack("<I", _read_exact(f, 4))
-            shape = tuple(
-                struct.unpack("<Q", _read_exact(f, 8))[0] for _ in range(rank)
-            )
-            data = np.frombuffer(
-                _read_exact(f, 8 * int(np.prod(shape, dtype=np.int64))), "<f8"
-            ).reshape(shape)
+            name = _read_exact(f, name_len).decode("utf-8", "replace")
             if name not in arrays:
                 raise CorruptCheckpointError(
                     f"checkpoint names unknown array {name!r}"
                 )
             if name in seen:
                 raise CorruptCheckpointError(f"duplicate array {name!r}")
-            if arrays[name].shape != shape:
+            target = arrays[name]
+            (rank,) = struct.unpack("<I", _read_exact(f, 4))
+            if rank != target.ndim:
+                raise CorruptCheckpointError(
+                    f"array {name!r} has rank {rank}, expected {target.ndim}"
+                )
+            shape = struct.unpack(f"<{rank}Q", _read_exact(f, 8 * rank))
+            if shape != target.shape:
                 raise CorruptCheckpointError(
                     f"array {name!r} has shape {shape}, expected "
-                    f"{arrays[name].shape}"
+                    f"{target.shape}"
                 )
-            arrays[name][...] = data
+            target[...] = np.frombuffer(
+                _read_exact(f, 8 * target.size), "<f8"
+            ).reshape(shape)
             seen.add(name)
         missing = sorted(set(arrays) - seen)
         if missing:

@@ -231,6 +231,38 @@ class TestTrain:
         assert f"row 40, column {column!r}" in capsys.readouterr().err
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "key, raw",
+        [
+            ("train.lr", "nan"),
+            ("train.weight_decay", "inf"),
+            ("data.synthetic.noise_sigma", "nan"),
+            ("train.lr", "-inf"),
+        ],
+    )
+    def test_non_finite_config_value_exits_2(self, tmp_path, capsys, key, raw):
+        cfg = write_config(
+            tmp_path / "run.cfg",
+            **{"model.kind": "ts_mixer", "train.epochs": 1, key: raw},
+        )
+        out = tmp_path / "out"
+        rc = main(["train", "--config", cfg, "--out", str(out)])
+        assert rc == 2
+        assert key in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_missing_target_cell_exits_3_naming_the_row(self, pipeline, tmp_path, capsys):
+        data = set_cell(pipeline["csv"], tmp_path / "gap.csv", 23, "ROP", "")
+        cfg = write_config(
+            tmp_path / "run.cfg",
+            **{"model.kind": "ts_mixer", "train.epochs": 1, "data.path": data},
+        )
+        out = tmp_path / "out"
+        rc = main(["train", "--config", cfg, "--out", str(out)])
+        assert rc == 3
+        assert "row 23, column 'ROP'" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
 
 class TestEval:
     def test_scores_full_csv(self, pipeline, tmp_path, capsys):
@@ -283,6 +315,30 @@ class TestEval:
         assert rc == 3
         assert "magic" in capsys.readouterr().err
 
+    def test_oversized_array_extent_exits_3(self, pipeline, tmp_path, capsys):
+        raw = bytearray(pipeline["ckpt"].read_bytes())
+        (json_len,) = struct.unpack("<I", raw[8:12])
+        (name_len,) = struct.unpack("<I", raw[12 + json_len : 16 + json_len])
+        extent_at = 16 + json_len + name_len + 4
+        raw[extent_at : extent_at + 8] = struct.pack("<Q", 2**40)
+        bad = tmp_path / "huge.roph"
+        bad.write_bytes(raw)
+        out = tmp_path / "out"
+        rc = main(
+            [
+                "eval",
+                "--checkpoint",
+                str(bad),
+                "--data",
+                str(pipeline["csv"]),
+                "--out",
+                str(out),
+            ]
+        )
+        assert rc == 3
+        assert "1099511627776" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_checkpoint_without_preprocessor_exits_3(self, pipeline, tmp_path, capsys):
         spec = ModelSpec(kind="ts_mixer", input_features=8, window_len=2)
         bare = tmp_path / "bare.roph"
@@ -300,7 +356,6 @@ class TestEval:
         )
         assert rc == 3
         assert "preprocessor" in capsys.readouterr().err
-
 
     def test_extra_preprocessor_key_is_corrupt(self, pipeline, tmp_path, capsys):
         ckpt = rewrite_preprocessor(
@@ -431,6 +486,27 @@ class TestPredict:
         )
         assert rc == 3
         assert f"row 30, column {column!r}" in capsys.readouterr().err
+        assert not (out / "predictions.csv").exists()
+
+    @pytest.mark.parametrize("text", ["", "nan"])
+    def test_missing_target_cell_exits_3_without_artifact(
+        self, pipeline, tmp_path, capsys, text
+    ):
+        data = set_cell(pipeline["csv"], tmp_path / "gap.csv", 5, "ROP", text)
+        out = tmp_path / "out"
+        rc = main(
+            [
+                "predict",
+                "--checkpoint",
+                str(pipeline["ckpt"]),
+                "--data",
+                str(data),
+                "--out",
+                str(out),
+            ]
+        )
+        assert rc == 3
+        assert "row 5, column 'ROP'" in capsys.readouterr().err
         assert not (out / "predictions.csv").exists()
 
 

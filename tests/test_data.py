@@ -131,6 +131,19 @@ class TestCsvRoundTrip:
         with pytest.raises(ParseError, match=r"row 1.*'ROP'"):
             load_csv(path)
 
+    @pytest.mark.parametrize("require_target", [True, False])
+    @pytest.mark.parametrize("text", ["", "nan", " NaN "])
+    def test_missing_target_cell_names_row_and_column(
+        self, tmp_path, text, require_target
+    ):
+        header = ",".join(DatasetSchema.default().feature_names + ["ROP"])
+        good = ",".join(["1"] * 9)
+        gap = ",".join(["1"] * 8 + [text])
+        path = tmp_path / "gap.csv"
+        path.write_text("\n".join([header, good, good, gap]) + "\n")
+        with pytest.raises(ParseError, match=r"row 3, column 'ROP'"):
+            load_csv(path, require_target=require_target)
+
     def test_ragged_row_rejected(self, tmp_path):
         header = ",".join(DatasetSchema.default().feature_names + ["ROP"])
         path = tmp_path / "ragged.csv"

@@ -238,6 +238,17 @@ def _synthetic(n_rows=200, seed=3):
     return dataset
 
 
+def _gappy_formation_well():
+    """200 rows with scattered missing feature cells and a Formation
+    column whose three tokens all occur in training rows."""
+    dataset = _synthetic()
+    dataset.features[np.arange(7, 200, 13), np.arange(7, 200, 13) % 8] = np.nan
+    dataset.categoricals = {
+        "Formation": [("shale", "sand", "lime")[i % 3] for i in range(200)]
+    }
+    return dataset
+
+
 class TestFitPipeline:
     def test_train_columns_centered(self):
         """Post-scaling train-row means vanish; test means do not."""
@@ -266,12 +277,41 @@ class TestFitPipeline:
 
     def test_transform_matches_fit_windows(self):
         """Replaying the fitted state reproduces the fit-time tensors."""
-        dataset = _synthetic()
+        self._check_transform_matches_fit(_synthetic())
+
+    def test_transform_matches_fit_windows_with_gaps_and_categories(self):
+        self._check_transform_matches_fit(_gappy_formation_well())
+
+    def _check_transform_matches_fit(self, dataset):
         state, prep = fit_pipeline(dataset, window_len=4)
         windows, statics, y_raw = transform(dataset, state)
-        np.testing.assert_array_equal(windows[prep.split.train], prep.train_windows)
-        np.testing.assert_array_equal(statics[prep.split.test], prep.test_statics)
-        np.testing.assert_array_equal(y_raw[prep.split.test], prep.test_y_raw)
+        tr, te = prep.split.train, prep.split.test
+        for got, want in [
+            (windows[tr], prep.train_windows),
+            (windows[te], prep.test_windows),
+            (statics[tr], prep.train_statics),
+            (statics[te], prep.test_statics),
+            (y_raw[tr], prep.train_y_raw),
+            (y_raw[te], prep.test_y_raw),
+            (transform_target(state, y_raw[tr]), prep.train_y),
+            (transform_target(state, y_raw[te]), prep.test_y),
+        ]:
+            np.testing.assert_array_equal(got, want)
+        assert np.all(np.isfinite(windows))
+
+    def test_state_ignores_rows_outside_training(self):
+        """Fills, vocabularies and moments see only training rows, so
+        rewriting every other row leaves the fitted state unchanged."""
+        dataset = _gappy_formation_well()
+        state, prep = fit_pipeline(dataset, window_len=4)
+        others = np.setdiff1d(np.arange(dataset.n_rows), prep.split.train + 3)
+        dataset.features[others] = dataset.features[others] * 10.0 + 7.0
+        dataset.features[others[::5], 1] = np.nan
+        for i in others:
+            dataset.categoricals["Formation"][i] = "granite"
+        with pytest.warns(UserWarning, match="granite"):
+            again, _ = fit_pipeline(dataset, window_len=4)
+        assert again == state
 
     def test_missing_values_filled_from_train_stats(self):
         dataset = _synthetic()
@@ -343,6 +383,18 @@ class TestCategoricalPipeline:
         with pytest.warns(UserWarning, match="granite"):
             windows, _, _ = transform(fresh, state)
         np.testing.assert_array_equal(windows[0, 0, -2:], [0.0, 0.0])
+
+    def test_category_only_in_test_rows_is_not_fitted(self):
+        dataset = self._dataset()
+        _, prep = fit_pipeline(dataset, window_len=4)
+        test_row = int(prep.split.test[0]) + 3
+        dataset.categoricals["Formation"][test_row] = "granite"
+        with pytest.warns(UserWarning, match="granite"):
+            state, prep = fit_pipeline(dataset, window_len=4)
+        assert state.vocab == {"Formation": ["sand", "shale"]}
+        assert "Formation=granite" not in state.feature_names
+        window = int(np.flatnonzero(prep.split.test == test_row - 3)[0])
+        np.testing.assert_array_equal(prep.test_statics[window, -2:], [0.0, 0.0])
 
     def test_schema_drift_rejected(self):
         dataset = self._dataset()

@@ -358,6 +358,51 @@ class TestCheckpoints:
         with pytest.raises(CorruptCheckpointError, match="missing"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize(
+        "field, match",
+        [
+            ("extent", "shape"),
+            ("rank", "rank"),
+            ("name_length", "truncated"),
+            ("header_length", "truncated"),
+        ],
+    )
+    def test_oversized_size_field_rejected_before_reading(
+        self, tmp_path, field, match
+    ):
+        """A corrupt size is checked against the model or the bytes left
+        in the file, never allocated."""
+        _, path = self._trained(tmp_path)
+        raw = bytearray(path.read_bytes())
+        (json_len,) = struct.unpack("<I", raw[8:12])
+        name_at = 12 + json_len
+        (name_len,) = struct.unpack("<I", raw[name_at : name_at + 4])
+        rank_at = name_at + 4 + name_len
+        at, packed = {
+            "header_length": (8, struct.pack("<I", 2**32 - 1)),
+            "name_length": (name_at, struct.pack("<I", 2**31)),
+            "rank": (rank_at, struct.pack("<I", 2**30)),
+            "extent": (rank_at + 4, struct.pack("<Q", 2**40)),
+        }[field]
+        raw[at : at + len(packed)] = packed
+        path.write_bytes(raw)
+        with pytest.raises(CorruptCheckpointError, match=match):
+            load_checkpoint(path)
+
+    def test_duplicate_record_rejected(self, tmp_path):
+        _, path = self._trained(tmp_path)
+        raw = path.read_bytes()
+        (json_len,) = struct.unpack("<I", raw[8:12])
+        first = 12 + json_len
+        (name_len,) = struct.unpack("<I", raw[first : first + 4])
+        rec = first + 4 + name_len
+        (rank,) = struct.unpack("<I", raw[rec : rec + 4])
+        extents = struct.unpack(f"<{rank}Q", raw[rec + 4 : rec + 4 + 8 * rank])
+        end = rec + 4 + 8 * rank + 8 * int(np.prod(extents))
+        path.write_bytes(raw[:end] + raw[first:end] + raw[end:])
+        with pytest.raises(CorruptCheckpointError, match="duplicate"):
+            load_checkpoint(path)
+
     def test_garbage_file_rejected(self, tmp_path):
         path = tmp_path / "noise.roph"
         path.write_bytes(b"not a checkpoint at all")
