@@ -109,14 +109,31 @@ class GradTape:
 
 
 class Module:
-    """Base class: anything owning parameters and persistent buffers."""
+    """Base class: anything owning parameters and persistent buffers.
+
+    A module's Params and sub-modules are found from its attributes
+    (and from lists held in them) in assignment order, which is also
+    the checkpoint's record order.
+    """
+
+    def _members(self):
+        for value in vars(self).values():
+            yield from value if isinstance(value, list) else (value,)
 
     def params(self) -> list[Param]:
-        raise NotImplementedError
+        out = []
+        for m in self._members():
+            if isinstance(m, Param):
+                out.append(m)
+            elif isinstance(m, Module):
+                out += m.params()
+        return out
 
     def buffers(self) -> list[tuple[str, np.ndarray]]:
         """Non-trainable state that must survive checkpointing."""
-        return []
+        return [
+            b for m in self._members() if isinstance(m, Module) for b in m.buffers()
+        ]
 
     def zero_grad(self):
         for p in self.params():
@@ -136,9 +153,6 @@ class Linear(Module):
         self.out_dim = out_dim
         self.W = Param(f"{name}.W", _uniform_init(rng, (out_dim, in_dim), in_dim))
         self.b = Param(f"{name}.b", np.zeros(out_dim))
-
-    def params(self):
-        return [self.W, self.b]
 
     def forward(self, x, tape=None):
         if x.shape[-1] != self.in_dim:
@@ -231,9 +245,6 @@ class LayerNorm(Module):
         self.gain = Param(f"{name}.gain", np.ones(dim))
         self.bias = Param(f"{name}.bias", np.zeros(dim))
 
-    def params(self):
-        return [self.gain, self.bias]
-
     def forward(self, x, tape=None):
         mu = x.mean(axis=-1, keepdims=True)
         var = x.var(axis=-1, keepdims=True)
@@ -273,9 +284,6 @@ class BatchNorm1d(Module):
         self.bias = Param(f"{name}.bias", np.zeros(dim))
         self.running_mean = np.zeros(dim)
         self.running_var = np.ones(dim)
-
-    def params(self):
-        return [self.gain, self.bias]
 
     def buffers(self):
         return [
@@ -382,9 +390,6 @@ class LstmStack(Module):
                     p.grad = grad[rows]
                     self._params.append(p)
 
-    def params(self):
-        return list(self._params)
-
     def layer_input_size(self, layer):
         return self.input_size if layer == 0 else self.hidden_size
 
@@ -479,15 +484,6 @@ class TransformerEncoderBlock(Module):
         self.ln1 = LayerNorm(model_dim, f"{name}.ln1")
         self.ln2 = LayerNorm(model_dim, f"{name}.ln2")
 
-    def params(self):
-        return (
-            [self.W_q, self.W_k, self.W_v, self.W_o]
-            + self.ffn1.params()
-            + self.ffn2.params()
-            + self.ln1.params()
-            + self.ln2.params()
-        )
-
     def _attention(self, x, tape=None):
         B, T, d = x.shape
         h, dk = self.heads, self.head_dim
@@ -572,29 +568,26 @@ class MixerBlock(Module):
             raise ConfigurationError(f"unknown mixer variant {variant!r}")
         self.variant = variant
         self.input_dim = input_dim
-        self._linears = []
-        self._norms = []
-        if variant == self.STANDALONE:
+        standalone = variant == self.STANDALONE
+        if standalone:
             self.output_dim = 1
             widths = [input_dim, hidden_dim] + [hidden_dim] * self.STANDALONE_DEPTH
-            for idx in range(len(widths) - 1):
-                self._linears.append(
-                    Linear(widths[idx], widths[idx + 1], rng, f"{name}.h{idx}")
-                )
-                self._norms.append(
-                    BatchNorm1d(widths[idx + 1], f"{name}.h{idx}_bn")
-                )
-            self.out = Linear(hidden_dim, 1, rng, f"{name}.out")
         else:
             self.output_dim = branch_dims[-1]
             widths = [input_dim, *branch_dims]
-            for idx in range(len(widths) - 1):
-                self._linears.append(
-                    Linear(widths[idx], widths[idx + 1], rng, f"{name}.h{idx}")
-                )
-            self.out = None
+        self._linears = [
+            Linear(d_in, d_out, rng, f"{name}.h{idx}")
+            for idx, (d_in, d_out) in enumerate(zip(widths, widths[1:]))
+        ]
+        self._norms = [
+            BatchNorm1d(d_out, f"{name}.h{idx}_bn")
+            for idx, d_out in enumerate(widths[1:] if standalone else [])
+        ]
+        self.out = Linear(hidden_dim, 1, rng, f"{name}.out") if standalone else None
 
     def params(self):
+        # each linear's Params are followed by its norm's, which the
+        # attribute walk (all linears, then all norms) would not give
         out = []
         for idx, lin in enumerate(self._linears):
             out += lin.params()
@@ -602,12 +595,6 @@ class MixerBlock(Module):
                 out += self._norms[idx].params()
         if self.out is not None:
             out += self.out.params()
-        return out
-
-    def buffers(self):
-        out = []
-        for bn in self._norms:
-            out += bn.buffers()
         return out
 
     def forward(self, x, tape=None, training=False):
@@ -637,9 +624,6 @@ class AttentionPool(Module):
     def __init__(self, dim, rng, name="attn_pool"):
         self.dim = dim
         self.w = Param(f"{name}.w", _uniform_init(rng, (dim,), dim))
-
-    def params(self):
-        return [self.w]
 
     def weights(self, y):
         """Attention weights [B, T] for a [B, T, d] input."""
@@ -677,9 +661,6 @@ class FusionHead(Module):
         self.temporal_dim = temporal_dim
         self.static_dim = static_dim
         self.out = Linear(temporal_dim + static_dim, 1, rng, name)
-
-    def params(self):
-        return self.out.params()
 
     def forward(
         self,

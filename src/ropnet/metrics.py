@@ -15,7 +15,7 @@ NaN measures.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -34,14 +34,7 @@ class MetricsReport:
     mape_excluded: int
 
     def to_dict(self):
-        return {
-            "r2": self.r2,
-            "mae": self.mae,
-            "rmse": self.rmse,
-            "mape_pct": self.mape_pct,
-            "n": self.n,
-            "mape_excluded": self.mape_excluded,
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
         return (

@@ -91,9 +91,7 @@ class ModelSpec:
             )
 
     def to_dict(self):
-        d = asdict(self)
-        d["branch_dims"] = list(self.branch_dims)
-        return d
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d):
@@ -104,57 +102,26 @@ class Model(Module):
     """A built architecture: owns layers, exposes forward and predict."""
 
     def __init__(self, spec: ModelSpec, rng: SeededRng):
+        # layers are assigned in checkpoint record order
         self.spec = spec
         F = spec.input_features
         H = spec.lstm_hidden
-        self.lstm = None
-        self.mixer = None
-        self.encoder = None
-        self.pool = None
-        self.head = None
-        self.fusion = None
-        self._ordered: list[Module] = []
-
-        def add(layer):
-            self._ordered.append(layer)
-            return layer
-
         kind = spec.kind
+        if kind == TS_MIXER:
+            self.mixer = MixerBlock(
+                MixerBlock.STANDALONE, F, rng, hidden_dim=spec.mixer_hidden
+            )
+            return
+        self.lstm = LstmStack(F, H, spec.lstm_layers, rng)
         if kind == BASELINE_LSTM:
-            self.lstm = add(LstmStack(F, H, spec.lstm_layers, rng))
-            self.head = add(Linear(H, 1, rng, "head"))
-        elif kind == TS_MIXER:
-            self.mixer = add(
-                MixerBlock(
-                    MixerBlock.STANDALONE, F, rng, hidden_dim=spec.mixer_hidden
-                )
-            )
-        else:
-            self.lstm = add(LstmStack(F, H, spec.lstm_layers, rng))
-            if kind == ADVANCED_HYBRID:
-                self.encoder = add(
-                    TransformerEncoderBlock(H, spec.heads, spec.ffn_dim, rng)
-                )
-            if kind in (HYBRID_LSTM_MIXER_ATTENTION, ADVANCED_HYBRID):
-                self.pool = add(AttentionPool(H, rng))
-            self.mixer = add(
-                MixerBlock(
-                    MixerBlock.BRANCH, F, rng, branch_dims=spec.branch_dims
-                )
-            )
-            self.fusion = add(FusionHead(H, self.mixer.output_dim, rng))
-
-    def params(self):
-        out = []
-        for layer in self._ordered:
-            out += layer.params()
-        return out
-
-    def buffers(self):
-        out = []
-        for layer in self._ordered:
-            out += layer.buffers()
-        return out
+            self.head = Linear(H, 1, rng, "head")
+            return
+        if kind == ADVANCED_HYBRID:
+            self.encoder = TransformerEncoderBlock(H, spec.heads, spec.ffn_dim, rng)
+        if kind in (HYBRID_LSTM_MIXER_ATTENTION, ADVANCED_HYBRID):
+            self.pool = AttentionPool(H, rng)
+        self.mixer = MixerBlock(MixerBlock.BRANCH, F, rng, branch_dims=spec.branch_dims)
+        self.fusion = FusionHead(H, self.mixer.output_dim, rng)
 
     def state_arrays(self):
         """Every persistent array, parameters first, in stable order."""
@@ -200,10 +167,10 @@ class Model(Module):
         h = self.lstm.forward(window, tape)
         if kind == ADVANCED_HYBRID:
             h = self.encoder.forward(h, tape)
-        if self.pool is not None:
-            temporal = self.pool.forward(h, tape)
-        else:
+        if kind == HYBRID_LSTM_MIXER:
             temporal = last_step(h, tape)
+        else:
+            temporal = self.pool.forward(h, tape)
         mixed = self.mixer.forward(static, tape, training=training)
         return self.fusion.forward(
             temporal,

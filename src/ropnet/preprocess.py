@@ -24,6 +24,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .data import CATEGORICAL, TARGET, DatasetSchema, FeatureSpec
 from .errors import (
     ConstantColumnError,
+    CorruptCheckpointError,
     DataError,
     EncodingError,
     IncompatibleCheckpointError,
@@ -66,15 +67,18 @@ def split_train_test(n_items: int, train_fraction: float = 0.8, seed: int = 42) 
     )
 
 
-def impute_mean(column: np.ndarray, fit_rows: np.ndarray) -> tuple[np.ndarray, float]:
-    """Replace NaNs with the mean of the non-missing fit-row values."""
-    fit_vals = column[fit_rows]
-    finite = fit_vals[~np.isnan(fit_vals)]
+def _observed_mean(values: np.ndarray, label: str) -> float:
+    finite = values[~np.isnan(values)]
     if finite.size == 0:
         raise UnimputableColumnError(
-            "column has no observed values in the training rows"
+            f"{label} has no observed values in the training rows"
         )
-    fill = float(finite.mean())
+    return float(finite.mean())
+
+
+def impute_mean(column: np.ndarray, fit_rows: np.ndarray) -> tuple[np.ndarray, float]:
+    """Replace NaNs with the mean of the non-missing fit-row values."""
+    fill = _observed_mean(column[fit_rows], "column")
     out = column.copy()
     out[np.isnan(out)] = fill
     return out, fill
@@ -223,7 +227,21 @@ class PreprocessorState:
                 f"checkpoint needs derived features {derived}, which this "
                 f"version does not compute"
             )
-        return cls(**d)
+        state = cls(**d)
+        n_src, n_feat = len(state.source_names), len(state.feature_names)
+        counts = (len(state.fill_values), len(state.feat_mean), len(state.feat_std))
+        if counts != (n_src, n_feat, n_feat):
+            raise CorruptCheckpointError(
+                f"preprocessor fills, means and scales number {counts}; "
+                f"expected {(n_src, n_feat, n_feat)}"
+            )
+        shifts = np.asarray([*state.fill_values, *state.feat_mean, state.target_mean], float)
+        scales = np.asarray([*state.feat_std, state.target_std], float)
+        if not (np.isfinite(shifts).all() and ((scales > 0) & (scales < np.inf)).all()):
+            raise CorruptCheckpointError(
+                "preprocessor needs finite means and fills and finite positive scales"
+            )
+        return state
 
 
 @dataclass
@@ -284,9 +302,9 @@ def fit_pipeline(
     fit_rows = split.train + window_len - 1
 
     features = np.asarray(dataset.features, dtype=np.float64)
-    fills = [impute_mean(col, fit_rows)[1] for col in features.T]
     train_rows = features[fit_rows]
     sources = list(dataset.feature_names)
+    fills = [_observed_mean(col, name) for col, name in zip(train_rows.T, sources)]
     mean, std = fit_standard_scaler(
         np.where(np.isnan(train_rows), fills, train_rows), sources
     )

@@ -170,7 +170,8 @@ def train_model(model: Model, cfg: TrainConfig, train_data, test_data) -> LossCu
         raise EmptyBatchError("training set is empty")
     n = train_w.shape[0]
     rng = SeededRng(cfg.seed)
-    opt = AdamWState(model.params())
+    params = model.params()
+    opt = AdamWState(params)
     curve = LossCurve()
     for epoch in range(1, cfg.epochs + 1):
         perm = rng.permutation(n)
@@ -187,7 +188,7 @@ def train_model(model: Model, cfg: TrainConfig, train_data, test_data) -> LossCu
                     f"loss became {loss} at epoch {epoch}, batch {batch_no}"
                 )
             tape.backward(grad)
-            adamw_step(model.params(), opt, cfg)
+            adamw_step(params, opt, cfg)
             sq_sum += loss * idx.size
         test_mse = evaluate_mse(model, test_w, test_s, test_y)
         curve.rows.append((epoch, sq_sum / n, test_mse))

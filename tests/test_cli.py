@@ -16,7 +16,7 @@ from ropnet.cli import RunConfig, main, parse_config
 from ropnet.errors import ConfigurationError
 from ropnet.models import MODEL_KINDS, ModelSpec, build_model
 from ropnet.tensor import SeededRng
-from ropnet.train import save_checkpoint
+from ropnet.train import load_checkpoint, save_checkpoint
 
 
 def write_config(path, **overrides):
@@ -263,6 +263,23 @@ class TestTrain:
         assert "row 23, column 'ROP'" in capsys.readouterr().err
         assert list(out.iterdir()) == []
 
+    def test_unimputable_column_is_named(self, pipeline, tmp_path, capsys):
+        rows = [line.split(",") for line in pipeline["csv"].read_text().splitlines()]
+        col = rows[0].index("RPM")
+        for cells in rows[1:]:
+            cells[col] = ""
+        data = tmp_path / "no_rpm.csv"
+        data.write_text("".join(",".join(cells) + "\n" for cells in rows))
+        cfg = write_config(
+            tmp_path / "run.cfg",
+            **{"model.kind": "ts_mixer", "train.epochs": 1, "data.path": data},
+        )
+        out = tmp_path / "out"
+        rc = main(["train", "--config", cfg, "--out", str(out)])
+        assert rc == 3
+        assert "RPM has no observed values" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
 
 class TestEval:
     def test_scores_full_csv(self, pipeline, tmp_path, capsys):
@@ -421,6 +438,17 @@ class TestEval:
         assert "row 57" in capsys.readouterr().err
         assert not (out / "metrics_ts_mixer.json").exists()
 
+    def test_inconsistent_preprocessor_header_exits_3(self, pipeline, tmp_path, capsys):
+        _, state = load_checkpoint(pipeline["ckpt"])
+        ckpt = rewrite_preprocessor(
+            pipeline["ckpt"], tmp_path / "short.roph", fill_values=state.fill_values[:3]
+        )
+        out = tmp_path / "out"
+        argv = ["eval", "--checkpoint", str(ckpt), "--data", str(pipeline["csv"])]
+        assert main(argv + ["--out", str(out)]) == 3
+        assert "fills, means and scales" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestPredict:
     def test_with_actuals(self, pipeline, tmp_path):
@@ -508,6 +536,17 @@ class TestPredict:
         assert rc == 3
         assert "row 5, column 'ROP'" in capsys.readouterr().err
         assert not (out / "predictions.csv").exists()
+
+    def test_zero_scale_in_header_exits_3(self, pipeline, tmp_path, capsys):
+        _, state = load_checkpoint(pipeline["ckpt"])
+        ckpt = rewrite_preprocessor(
+            pipeline["ckpt"], tmp_path / "flat.roph", feat_std=[0.0] + state.feat_std[1:]
+        )
+        out = tmp_path / "out"
+        argv = ["predict", "--checkpoint", str(ckpt), "--data", str(pipeline["csv"])]
+        assert main(argv + ["--out", str(out)]) == 3
+        assert "positive scales" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestExplain:

@@ -6,6 +6,7 @@ import pytest
 from ropnet.data import Dataset, SyntheticSpec, generate_synthetic
 from ropnet.errors import (
     ConstantColumnError,
+    CorruptCheckpointError,
     DataError,
     EncodingError,
     IncompatibleCheckpointError,
@@ -357,6 +358,27 @@ class TestFitPipeline:
         older = dict(state.to_dict(), derived=["HHP"])
         with pytest.raises(IncompatibleCheckpointError, match="HHP"):
             PreprocessorState.from_dict(older)
+
+    @pytest.mark.parametrize(
+        "key, edit",
+        [
+            pytest.param("fill_values", lambda v: v[:3], id="short-fills"),
+            pytest.param("feat_mean", lambda v: v + [0.0], id="long-means"),
+            pytest.param("feat_std", lambda v: v[1:], id="short-scales"),
+            pytest.param("fill_values", lambda v: [float("nan")] + v[1:], id="nan-fill"),
+            pytest.param("feat_mean", lambda v: [float("inf")] + v[1:], id="inf-mean"),
+            pytest.param("feat_std", lambda v: [0.0] + v[1:], id="zero-scale"),
+            pytest.param("feat_std", lambda v: [float("inf")] + v[1:], id="inf-scale"),
+            pytest.param("target_mean", lambda v: float("nan"), id="nan-target-mean"),
+            pytest.param("target_std", lambda v: -v, id="negative-target-scale"),
+            pytest.param("target_std", lambda v: float("nan"), id="nan-target-scale"),
+        ],
+    )
+    def test_inconsistent_state_is_corrupt(self, key, edit):
+        d = fit_pipeline(_synthetic(), window_len=3)[0].to_dict()
+        d[key] = edit(d[key])
+        with pytest.raises(CorruptCheckpointError, match="preprocessor"):
+            PreprocessorState.from_dict(d)
 
 
 class TestCategoricalPipeline:

@@ -15,7 +15,15 @@ from ropnet.errors import (
     IncompatibleCheckpointError,
 )
 from ropnet.layers import GradTape, Linear, Param
-from ropnet.models import ADVANCED_HYBRID, BASELINE_LSTM, ModelSpec, build_model
+from ropnet.models import (
+    ADVANCED_HYBRID,
+    BASELINE_LSTM,
+    HYBRID_LSTM_MIXER,
+    HYBRID_LSTM_MIXER_ATTENTION,
+    TS_MIXER,
+    ModelSpec,
+    build_model,
+)
 from ropnet.preprocess import fit_pipeline
 from ropnet.tensor import SeededRng
 from ropnet.train import (
@@ -308,6 +316,23 @@ class TestCheckpoints:
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
             "fd7f56977f3d72eea981e15409c44f2bad370c881794ac4dbbf2442acac389ed"
         )
+
+    @pytest.mark.parametrize(
+        "kind, digest",
+        [
+            (BASELINE_LSTM, "5e8edc799f3764714688073e58be9f3d66b474e7f5f5b87d3bdbf1fedd6a4ed1"),
+            (TS_MIXER, "3eba6687a67da38af8bd876d5a50c711d2524c0387451f275999ef307582dd2a"),
+            (HYBRID_LSTM_MIXER, "c730c330aaa902f40649f172f9ded4bfbcfc6fe80efd1882730d8b870d935ccc"),
+            (HYBRID_LSTM_MIXER_ATTENTION, "8c9d94918f03718bebf196a0001be2f3969726b281dab27d2c082e3b0d83463d"),
+        ],
+    )
+    def test_fresh_checkpoint_bytes_are_pinned_per_kind(self, tmp_path, kind, digest):
+        # the record order is the order in which each module assigns its
+        # Params and sub-modules; ts_mixer also pins its BatchNorm buffers
+        spec = ModelSpec(kind=kind, input_features=8, window_len=4)
+        path = tmp_path / "fresh.roph"
+        save_checkpoint(path, build_model(spec, SeededRng(42)))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
     def test_bad_magic_rejected(self, tmp_path):
         _, path = self._trained(tmp_path)
