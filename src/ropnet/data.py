@@ -137,6 +137,9 @@ def load_csv(path, schema: DatasetSchema | None = None, require_target: bool = T
         except StopIteration:
             raise ParseError(f"{path} is empty; expected a header row") from None
         header = [h.strip() for h in header]
+        twice = sorted({h for h in header if header.count(h) > 1})
+        if twice:
+            raise SchemaError(f"{path} names columns {twice} more than once")
         positions = {name: i for i, name in enumerate(header)}
         wanted = (
             schema.feature_names

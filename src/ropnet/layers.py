@@ -45,20 +45,11 @@ class Param:
         self.grad = np.zeros_like(self.value)
 
 
-class _Record:
-    __slots__ = ("inputs", "output", "fn")
-
-    def __init__(self, inputs, output, fn):
-        self.inputs = inputs
-        self.output = output
-        self.fn = fn
-
-
 class GradTape:
     """Reverse-mode record of one forward pass."""
 
     def __init__(self):
-        self._records: list[_Record] = []
+        self._records: list[tuple] = []  # (inputs, output, fn)
         self._grads: dict[int, np.ndarray] | None = None
 
     def record(self, inputs, output, fn):
@@ -68,7 +59,7 @@ class GradTape:
         for inputs that need none) and is responsible for accumulating
         any parameter gradients itself.
         """
-        self._records.append(_Record(tuple(inputs), output, fn))
+        self._records.append((tuple(inputs), output, fn))
         return output
 
     def __len__(self):
@@ -78,7 +69,7 @@ class GradTape:
         """Propagate ``loss_grad`` (w.r.t. the final output) to every input."""
         if not self._records:
             raise TapeEmptyError("backward called before any forward pass")
-        final = self._records[-1].output
+        final = self._records[-1][1]
         loss_grad = np.asarray(loss_grad, dtype=np.float64)
         if loss_grad.shape != final.shape:
             raise DimensionError(
@@ -86,12 +77,11 @@ class GradTape:
                 f"output shape {final.shape}"
             )
         grads: dict[int, np.ndarray] = {id(final): loss_grad}
-        for rec in reversed(self._records):
-            g = grads.get(id(rec.output))
+        for inputs, output, fn in reversed(self._records):
+            g = grads.get(id(output))
             if g is None:
                 continue
-            d_inputs = rec.fn(g)
-            for arr, d in zip(rec.inputs, d_inputs):
+            for arr, d in zip(inputs, fn(g)):
                 if d is None:
                     continue
                 key = id(arr)
@@ -237,51 +227,64 @@ def dropout_apply(x, rate, rng=None, training=False, tape=None):
 
 
 class LayerNorm(Module):
-    """Normalization over the last axis, then learned gain and bias."""
+    """Normalization over ``AXIS``, then learned gain and bias.
 
-    def __init__(self, dim, name, eps=1e-5):
+    ``_normalize`` holds the one forward and backward; a subclass only
+    chooses the statistics it passes in.
+    """
+
+    AXIS = -1
+    eps = 1e-5
+
+    def __init__(self, dim, name):
         self.dim = dim
-        self.eps = eps
         self.gain = Param(f"{name}.gain", np.ones(dim))
         self.bias = Param(f"{name}.bias", np.zeros(dim))
 
     def forward(self, x, tape=None):
-        mu = x.mean(axis=-1, keepdims=True)
-        var = x.var(axis=-1, keepdims=True)
+        mu = x.mean(axis=self.AXIS, keepdims=True)
+        var = x.var(axis=self.AXIS, keepdims=True)
+        return self._normalize(x, mu, var, tape)
+
+    def _normalize(self, x, mu, var, tape, fixed_stats=False):
+        # unless fixed_stats, the backward differentiates through mu and
+        # var as the moments of x over AXIS
         inv = 1.0 / np.sqrt(var + self.eps)
         xhat = (x - mu) * inv
         y = xhat * self.gain.value + self.bias.value
         if tape is None:
             return y
-        gain, bias = self.gain, self.bias
+        gain, bias, axis = self.gain, self.bias, self.AXIS
 
         def bwd(d):
             lead = tuple(range(d.ndim - 1))
             gain.grad += (d * xhat).sum(axis=lead)
             bias.grad += d.sum(axis=lead)
             dxhat = d * gain.value
-            m1 = dxhat.mean(axis=-1, keepdims=True)
-            m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
+            if fixed_stats:
+                return (dxhat * inv,)
+            m1 = dxhat.mean(axis=axis, keepdims=True)
+            m2 = (dxhat * xhat).mean(axis=axis, keepdims=True)
             return (inv * (dxhat - m1 - xhat * m2),)
 
         return tape.record((x,), y, bwd)
 
 
-class BatchNorm1d(Module):
-    """Feature-wise batch normalization for [B, F] inputs.
+class BatchNorm1d(LayerNorm):
+    """Feature-wise batch normalization for [B, F] inputs: layer norm
+    over the batch axis.
 
     Training mode normalizes with batch statistics and folds them into
     the running estimates (new value weighted by ``momentum``);
-    inference mode uses the running estimates only.
+    inference mode uses the running estimates, as constants.
     """
 
-    def __init__(self, dim, name, momentum=0.1, eps=1e-5):
-        self.dim = dim
-        self.momentum = momentum
-        self.eps = eps
+    AXIS = 0
+    momentum = 0.1
+
+    def __init__(self, dim, name):
+        super().__init__(dim, name)
         self.name = name
-        self.gain = Param(f"{name}.gain", np.ones(dim))
-        self.bias = Param(f"{name}.bias", np.zeros(dim))
         self.running_mean = np.zeros(dim)
         self.running_var = np.ones(dim)
 
@@ -296,45 +299,18 @@ class BatchNorm1d(Module):
             raise DimensionError(
                 f"batch norm expects [B, {self.dim}], got {x.shape}"
             )
-        if training:
-            if x.shape[0] < 2:
-                raise DegenerateBatchError(
-                    "batch statistics are undefined for a single-sample batch"
-                )
-            mu = x.mean(axis=0)
-            var = x.var(axis=0)
-            self.running_mean += self.momentum * (mu - self.running_mean)
-            self.running_var += self.momentum * (var - self.running_var)
-        else:
-            mu = self.running_mean
-            var = self.running_var
-        inv = 1.0 / np.sqrt(var + self.eps)
-        xhat = (x - mu) * inv
-        y = xhat * self.gain.value + self.bias.value
-        if tape is None:
-            return y
-        gain, bias = self.gain, self.bias
-
-        def bwd(d):
-            gain.grad += (d * xhat).sum(axis=0)
-            bias.grad += d.sum(axis=0)
-            dxhat = d * gain.value
-            if training:
-                n = x.shape[0]
-                dx = (
-                    inv
-                    / n
-                    * (
-                        n * dxhat
-                        - dxhat.sum(axis=0)
-                        - xhat * (dxhat * xhat).sum(axis=0)
-                    )
-                )
-            else:
-                dx = dxhat * inv
-            return (dx,)
-
-        return tape.record((x,), y, bwd)
+        if not training:
+            return self._normalize(
+                x, self.running_mean, self.running_var, tape, fixed_stats=True
+            )
+        if x.shape[0] < 2:
+            raise DegenerateBatchError(
+                "batch statistics are undefined for a single-sample batch"
+            )
+        mu, var = x.mean(axis=self.AXIS), x.var(axis=self.AXIS)
+        self.running_mean += self.momentum * (mu - self.running_mean)
+        self.running_var += self.momentum * (var - self.running_var)
+        return self._normalize(x, mu, var, tape)
 
 
 class LstmStack(Module):
@@ -363,7 +339,7 @@ class LstmStack(Module):
 
     GATES = ("i", "f", "o", "g")
 
-    def __init__(self, input_size, hidden_size, num_layers, rng, name="lstm"):
+    def __init__(self, input_size, hidden_size, num_layers, rng):
         if num_layers < 1 or hidden_size < 1 or input_size < 1:
             raise ConfigurationError(
                 "lstm needs positive input size, hidden size, and layer count"
@@ -386,7 +362,7 @@ class LstmStack(Module):
                 W[rows] = _uniform_init(rng, (H, in_dim), in_dim)
                 U[rows] = _uniform_init(rng, (H, H), H)
                 for arr, grad, stem in zip((W, U, b), grads, "WUb"):
-                    p = Param(f"{name}.l{layer}.{stem}_{gate}", arr[rows])
+                    p = Param(f"lstm.l{layer}.{stem}_{gate}", arr[rows])
                     p.grad = grad[rows]
                     self._params.append(p)
 
@@ -467,7 +443,7 @@ class TransformerEncoderBlock(Module):
     sublayer output is added back to its input and layer-normalized.
     """
 
-    def __init__(self, model_dim, heads, ffn_dim, rng, name="encoder"):
+    def __init__(self, model_dim, heads, ffn_dim, rng):
         if model_dim % heads != 0:
             raise ConfigurationError(
                 f"model dim {model_dim} not divisible by {heads} heads"
@@ -475,14 +451,14 @@ class TransformerEncoderBlock(Module):
         self.model_dim = model_dim
         self.heads = heads
         self.head_dim = model_dim // heads
-        self.W_q = Param(f"{name}.W_q", _uniform_init(rng, (model_dim, model_dim), model_dim))
-        self.W_k = Param(f"{name}.W_k", _uniform_init(rng, (model_dim, model_dim), model_dim))
-        self.W_v = Param(f"{name}.W_v", _uniform_init(rng, (model_dim, model_dim), model_dim))
-        self.W_o = Param(f"{name}.W_o", _uniform_init(rng, (model_dim, model_dim), model_dim))
-        self.ffn1 = Linear(model_dim, ffn_dim, rng, f"{name}.ffn1")
-        self.ffn2 = Linear(ffn_dim, model_dim, rng, f"{name}.ffn2")
-        self.ln1 = LayerNorm(model_dim, f"{name}.ln1")
-        self.ln2 = LayerNorm(model_dim, f"{name}.ln2")
+        self.W_q = Param("encoder.W_q", _uniform_init(rng, (model_dim, model_dim), model_dim))
+        self.W_k = Param("encoder.W_k", _uniform_init(rng, (model_dim, model_dim), model_dim))
+        self.W_v = Param("encoder.W_v", _uniform_init(rng, (model_dim, model_dim), model_dim))
+        self.W_o = Param("encoder.W_o", _uniform_init(rng, (model_dim, model_dim), model_dim))
+        self.ffn1 = Linear(model_dim, ffn_dim, rng, "encoder.ffn1")
+        self.ffn2 = Linear(ffn_dim, model_dim, rng, "encoder.ffn2")
+        self.ln1 = LayerNorm(model_dim, "encoder.ln1")
+        self.ln2 = LayerNorm(model_dim, "encoder.ln2")
 
     def _attention(self, x, tape=None):
         B, T, d = x.shape
@@ -541,6 +517,15 @@ class TransformerEncoderBlock(Module):
         return self.ln2.forward(residual_add(normed, ffn, tape), tape)
 
 
+class _MixerLayer(Module):
+    """One mixer hidden layer's modules: a linear map, then batch norm
+    when given; ``MixerBlock.forward`` applies them and a ReLU."""
+
+    def __init__(self, d_in, d_out, rng, name, norm):
+        self.linear = Linear(d_in, d_out, rng, name)
+        self.norm = BatchNorm1d(d_out, f"{name}_bn") if norm else None
+
+
 class MixerBlock(Module):
     """Feedforward feature mixer, in two fixed configurations.
 
@@ -555,15 +540,7 @@ class MixerBlock(Module):
     BRANCH = "branch"
     STANDALONE_DEPTH = 4
 
-    def __init__(
-        self,
-        variant,
-        input_dim,
-        rng,
-        name="mixer",
-        hidden_dim=128,
-        branch_dims=(128, 64),
-    ):
+    def __init__(self, variant, input_dim, rng, hidden_dim=128, branch_dims=(128, 64)):
         if variant not in (self.STANDALONE, self.BRANCH):
             raise ConfigurationError(f"unknown mixer variant {variant!r}")
         self.variant = variant
@@ -575,38 +552,24 @@ class MixerBlock(Module):
         else:
             self.output_dim = branch_dims[-1]
             widths = [input_dim, *branch_dims]
-        self._linears = [
-            Linear(d_in, d_out, rng, f"{name}.h{idx}")
+        self.layers = [
+            _MixerLayer(d_in, d_out, rng, f"mixer.h{idx}", standalone)
             for idx, (d_in, d_out) in enumerate(zip(widths, widths[1:]))
         ]
-        self._norms = [
-            BatchNorm1d(d_out, f"{name}.h{idx}_bn")
-            for idx, d_out in enumerate(widths[1:] if standalone else [])
-        ]
-        self.out = Linear(hidden_dim, 1, rng, f"{name}.out") if standalone else None
-
-    def params(self):
-        # each linear's Params are followed by its norm's, which the
-        # attribute walk (all linears, then all norms) would not give
-        out = []
-        for idx, lin in enumerate(self._linears):
-            out += lin.params()
-            if self._norms:
-                out += self._norms[idx].params()
-        if self.out is not None:
-            out += self.out.params()
-        return out
+        self.out = Linear(hidden_dim, 1, rng, "mixer.out") if standalone else None
 
     def forward(self, x, tape=None, training=False):
         if x.ndim != 2 or x.shape[1] != self.input_dim:
             raise DimensionError(
                 f"mixer expects [B, {self.input_dim}], got {x.shape}"
             )
+        # applied here rather than in a method of the layer, whose caller
+        # would keep each layer's input alive until its ReLU returns
         h = x
-        for idx, lin in enumerate(self._linears):
-            h = lin.forward(h, tape)
-            if self._norms:
-                h = self._norms[idx].forward(h, tape, training=training)
+        for layer in self.layers:
+            h = layer.linear.forward(h, tape)
+            if layer.norm is not None:
+                h = layer.norm.forward(h, tape, training=training)
             h = relu(h, tape)
         if self.out is not None:
             h = self.out.forward(h, tape)
@@ -621,9 +584,9 @@ class AttentionPool(Module):
     to one for every sample.
     """
 
-    def __init__(self, dim, rng, name="attn_pool"):
+    def __init__(self, dim, rng):
         self.dim = dim
-        self.w = Param(f"{name}.w", _uniform_init(rng, (dim,), dim))
+        self.w = Param("attn_pool.w", _uniform_init(rng, (dim,), dim))
 
     def weights(self, y):
         """Attention weights [B, T] for a [B, T, d] input."""
@@ -657,10 +620,10 @@ class FusionHead(Module):
     training before the affine map.
     """
 
-    def __init__(self, temporal_dim, static_dim, rng, name="fusion"):
+    def __init__(self, temporal_dim, static_dim, rng):
         self.temporal_dim = temporal_dim
         self.static_dim = static_dim
-        self.out = Linear(temporal_dim + static_dim, 1, rng, name)
+        self.out = Linear(temporal_dim + static_dim, 1, rng, "fusion")
 
     def forward(
         self,

@@ -43,7 +43,7 @@ class MetricsReport:
         )
 
 
-def compute_metrics(actual, predicted, zero_tolerance: float = MAPE_ZERO_TOLERANCE) -> MetricsReport:
+def compute_metrics(actual, predicted) -> MetricsReport:
     actual = np.asarray(actual, dtype=np.float64).reshape(-1)
     predicted = np.asarray(predicted, dtype=np.float64).reshape(-1)
     if actual.shape != predicted.shape:
@@ -70,7 +70,7 @@ def compute_metrics(actual, predicted, zero_tolerance: float = MAPE_ZERO_TOLERAN
         raise UndefinedMetricError(
             "R^2 is undefined when all actual values are equal"
         )
-    keep = np.abs(actual) >= zero_tolerance
+    keep = np.abs(actual) >= MAPE_ZERO_TOLERANCE
     excluded = int(n - keep.sum())
     if excluded == n:
         raise UndefinedMetricError(

@@ -76,14 +76,6 @@ def _observed_mean(values: np.ndarray, label: str) -> float:
     return float(finite.mean())
 
 
-def impute_mean(column: np.ndarray, fit_rows: np.ndarray) -> tuple[np.ndarray, float]:
-    """Replace NaNs with the mean of the non-missing fit-row values."""
-    fill = _observed_mean(column[fit_rows], "column")
-    out = column.copy()
-    out[np.isnan(out)] = fill
-    return out, fill
-
-
 def fit_standard_scaler(rows: np.ndarray, names=None) -> tuple[np.ndarray, np.ndarray]:
     """Per-column mean and population std; zero spread is an error."""
     mean = rows.mean(axis=0)
@@ -167,6 +159,11 @@ def one_hot(values, vocab: list[str]) -> np.ndarray:
     return out
 
 
+def _one_hot_names(vocab: dict[str, list[str]]) -> list[str]:
+    """Column names of the encoded block, ``column=token``, in encoding order."""
+    return [f"{c}={tok}" for c in sorted(vocab) for tok in vocab[c]]
+
+
 def make_windows(features: np.ndarray, target, window_len: int):
     """Overlapping windows of consecutive rows.
 
@@ -235,6 +232,10 @@ class PreprocessorState:
                 f"preprocessor fills, means and scales number {counts}; "
                 f"expected {(n_src, n_feat, n_feat)}"
             )
+        if state.feature_names != state.source_names + _one_hot_names(state.vocab):
+            raise CorruptCheckpointError(
+                "preprocessor feature names do not match its sources and vocabularies"
+            )
         shifts = np.asarray([*state.fill_values, *state.feat_mean, state.target_mean], float)
         scales = np.asarray([*state.feat_std, state.target_std], float)
         if not (np.isfinite(shifts).all() and ((scales > 0) & (scales < np.inf)).all()):
@@ -281,8 +282,6 @@ def input_schema(state: PreprocessorState) -> DatasetSchema:
 def fit_pipeline(
     dataset,
     window_len: int = 1,
-    train_fraction: float = 0.8,
-    split_seed: int = 42,
     target_name: str = "ROP",
 ) -> tuple[PreprocessorState, PreparedData]:
     """Fit the transform on the training rows, then window every row
@@ -298,7 +297,7 @@ def fit_pipeline(
     y_raw = np.asarray(dataset.target, dtype=np.float64)
     if np.isnan(y_raw).any():
         raise DataError("target column contains missing values")
-    split = split_train_test(n - window_len + 1, train_fraction, split_seed)
+    split = split_train_test(n - window_len + 1)
     fit_rows = split.train + window_len - 1
 
     features = np.asarray(dataset.features, dtype=np.float64)
@@ -312,15 +311,15 @@ def fit_pipeline(
         c: fit_vocabulary([tokens[i] for i in fit_rows])
         for c, tokens in sorted(dataset.categoricals.items())
     }
-    one_hot_names = [f"{c}={tok}" for c in vocab for tok in vocab[c]]
+    encoded = _one_hot_names(vocab)
     t_mean, t_std = fit_standard_scaler(y_raw[fit_rows, None], [target_name])
     state = PreprocessorState(
-        feature_names=sources + one_hot_names,
+        feature_names=sources + encoded,
         source_names=sources,
         window_len=window_len,
         fill_values=fills,
-        feat_mean=mean.tolist() + [0.0] * len(one_hot_names),
-        feat_std=std.tolist() + [1.0] * len(one_hot_names),
+        feat_mean=mean.tolist() + [0.0] * len(encoded),
+        feat_std=std.tolist() + [1.0] * len(encoded),
         target_name=target_name,
         target_mean=float(t_mean[0]),
         target_std=float(t_std[0]),

@@ -283,9 +283,10 @@ def load_checkpoint(path) -> tuple[Model, PreprocessorState | None]:
                     f"array {name!r} has shape {shape}, expected "
                     f"{target.shape}"
                 )
-            target[...] = np.frombuffer(
-                _read_exact(f, 8 * target.size), "<f8"
-            ).reshape(shape)
+            values = np.frombuffer(_read_exact(f, 8 * target.size), "<f8")
+            if not np.isfinite(values).all():
+                raise CorruptCheckpointError(f"array {name!r} holds non-finite values")
+            target[...] = values.reshape(shape)
             seen.add(name)
         missing = sorted(set(arrays) - seen)
         if missing:

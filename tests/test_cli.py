@@ -50,7 +50,22 @@ def set_cell(src, dst, row, column, text):
     return dst
 
 
+def poison_array(src, dst, name, value):
+    """Copy a checkpoint with the last float of array ``name`` replaced."""
+    model, state = load_checkpoint(src)
+    dict(model.state_arrays())[name].flat[-1] = value
+    save_checkpoint(dst, model, state)
+    return dst
+
+
 NON_FINITE_CELLS = [("WOB", "inf"), ("ROP", "-inf"), ("Torque", "1e999")]
+# a weight and a batch-norm running statistic of the ts_mixer checkpoint
+NON_FINITE_ARRAYS = [
+    ("mixer.h0.W", float("nan")),
+    ("mixer.h0.W", float("inf")),
+    ("mixer.h4_bn.running_mean", float("nan")),
+    ("mixer.h4_bn.running_var", float("-inf")),
+]
 
 
 @pytest.fixture(scope="module")
@@ -449,6 +464,27 @@ class TestEval:
         assert "fills, means and scales" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_vocab_without_its_feature_columns_exits_3(self, pipeline, tmp_path, capsys):
+        ckpt = rewrite_preprocessor(
+            pipeline["ckpt"], tmp_path / "vocab.roph", vocab={"Formation": ["a", "b"]}
+        )
+        out = tmp_path / "out"
+        argv = ["eval", "--checkpoint", str(ckpt), "--data", str(pipeline["csv"])]
+        assert main(argv + ["--out", str(out)]) == 3
+        assert "feature names do not match" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_column_named_twice_exits_3(self, pipeline, tmp_path, capsys):
+        lines = pipeline["csv"].read_text().splitlines()
+        data = tmp_path / "twice.csv"
+        rows = [lines[0] + ",WOB"] + [line + ",999" for line in lines[1:]]
+        data.write_text("\n".join(rows) + "\n")
+        out = tmp_path / "out"
+        argv = ["eval", "--checkpoint", str(pipeline["ckpt"]), "--data", str(data)]
+        assert main(argv + ["--out", str(out)]) == 3
+        assert "['WOB'] more than once" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestPredict:
     def test_with_actuals(self, pipeline, tmp_path):
@@ -548,6 +584,15 @@ class TestPredict:
         assert "positive scales" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("array, value", NON_FINITE_ARRAYS)
+    def test_non_finite_array_exits_3(self, pipeline, tmp_path, capsys, array, value):
+        ckpt = poison_array(pipeline["ckpt"], tmp_path / "bad.roph", array, value)
+        out = tmp_path / "out"
+        argv = ["predict", "--checkpoint", str(ckpt), "--data", str(pipeline["csv"])]
+        assert main(argv + ["--out", str(out)]) == 3
+        assert f"array {array!r} holds non-finite values" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestExplain:
     def test_importance_artifacts(self, pipeline, tmp_path, capsys):
@@ -612,6 +657,15 @@ class TestExplain:
         assert f"row 12, column {column!r}" in capsys.readouterr().err
         assert not (out / "importance.csv").exists()
         assert not (out / "importance.json").exists()
+
+    @pytest.mark.parametrize("array, value", NON_FINITE_ARRAYS)
+    def test_non_finite_array_exits_3(self, pipeline, tmp_path, capsys, array, value):
+        ckpt = poison_array(pipeline["ckpt"], tmp_path / "bad.roph", array, value)
+        out = tmp_path / "out"
+        argv = ["explain", "--checkpoint", str(ckpt), "--data", str(pipeline["csv"])]
+        assert main(argv + ["--out", str(out)]) == 3
+        assert f"array {array!r} holds non-finite values" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestCompare:

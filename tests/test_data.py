@@ -91,6 +91,13 @@ class TestCsvRoundTrip:
         with pytest.raises(SchemaError, match="RPM"):
             load_csv(path)
 
+    def test_column_named_twice_rejected(self, tmp_path):
+        header = ",".join(DatasetSchema.default().feature_names + ["ROP", "WOB"])
+        path = tmp_path / "twice.csv"
+        path.write_text("\n".join([header, ",".join(["1"] * 10)]) + "\n")
+        with pytest.raises(SchemaError, match=r"\['WOB'\] more than once"):
+            load_csv(path)
+
     def test_extra_columns_warn_and_are_ignored(self, tmp_path):
         dataset, _ = generate_synthetic(SyntheticSpec(n_rows=100, seed=1))
         path = tmp_path / "extra.csv"

@@ -160,7 +160,8 @@ def check_mixer_standalone(seed):
     mixer = MixerBlock(MixerBlock.STANDALONE, 5, rng, hidden_dim=6)
     x = rng.normal((6, 5))
     h = x
-    for lin, bn in zip(mixer._linears, mixer._norms):
+    for layer in mixer.layers:
+        lin, bn = layer.linear, layer.norm
         h = oracles.linear_loop(h, lin.W.value, lin.b.value)
         h = oracles.batchnorm_train_loop(h, bn.gain.value, bn.bias.value)
         h = oracles.relu_loop(h)
@@ -173,7 +174,8 @@ def check_mixer_branch(seed):
     mixer = MixerBlock(MixerBlock.BRANCH, 5, rng, branch_dims=(6, 4))
     x = rng.normal((3, 5))
     h = x
-    for lin in mixer._linears:
+    for layer in mixer.layers:
+        lin = layer.linear
         h = oracles.relu_loop(oracles.linear_loop(h, lin.W.value, lin.b.value))
     return _max_abs(mixer.forward(x), h)
 

@@ -22,7 +22,6 @@ from ropnet.preprocess import (
     fit_pipeline,
     fit_standard_scaler,
     fit_vocabulary,
-    impute_mean,
     invert_scaler,
     inverse_target,
     iqr_outlier_report,
@@ -73,31 +72,47 @@ class TestSplit:
 
 
 class TestImpute:
+    """Fills come from ``fit_pipeline``: each is the mean of the column's
+    observed values in the training rows.  At window length 1, window
+    and row indices agree."""
+
     def test_mean_fill(self):
-        col = np.array([1.0, np.nan, 3.0])
-        filled, fill = impute_mean(col, np.arange(3))
-        np.testing.assert_array_equal(filled, [1.0, 2.0, 3.0])
-        assert fill == 2.0
+        dataset = _synthetic()
+        dataset.features[::7, 2] = np.nan
+        raw = dataset.features.copy()
+        state, prep = fit_pipeline(dataset, window_len=1)
+        train = raw[prep.split.train, 2]
+        gaps = np.isnan(train)
+        assert state.fill_values[2] == np.mean(train[~gaps])
+        want = (state.fill_values[2] - state.feat_mean[2]) / state.feat_std[2]
+        np.testing.assert_array_equal(prep.train_statics[gaps, 2], want)
 
     def test_no_missing_is_identity(self):
-        col = np.array([4.0, 5.0, 6.0])
-        filled, _ = impute_mean(col, np.arange(3))
-        np.testing.assert_array_equal(filled, col)
+        dataset = _synthetic()
+        dataset.features[::7, 2] = np.nan
+        raw = dataset.features.copy()
+        state, _ = fit_pipeline(dataset, window_len=1)
+        _, statics, _ = transform(dataset, state)
+        want = (raw[:, 5] - state.feat_mean[5]) / state.feat_std[5]
+        np.testing.assert_array_equal(statics[:, 5], want)
 
     def test_single_present_value(self):
-        filled, fill = impute_mean(np.array([np.nan, 5.0]), np.arange(2))
-        np.testing.assert_array_equal(filled, [5.0, 5.0])
-        assert fill == 5.0
-
-    def test_fill_uses_fit_rows_only(self):
-        col = np.array([1.0, np.nan, 100.0])
-        filled, fill = impute_mean(col, np.array([0]))
-        assert fill == 1.0
-        np.testing.assert_array_equal(filled, [1.0, 1.0, 100.0])
+        """One observed training value fills every gap with itself, which
+        leaves the column constant on the training rows."""
+        dataset = _synthetic()
+        train = split_train_test(dataset.n_rows).train
+        dataset.features[:, 3] = np.nan
+        dataset.features[train[4], 3] = 5.0
+        name = dataset.feature_names[3]
+        with pytest.raises(ConstantColumnError, match=name):
+            fit_pipeline(dataset, window_len=1)
 
     def test_all_missing_in_fit_rows(self):
-        with pytest.raises(UnimputableColumnError):
-            impute_mean(np.array([np.nan, np.nan, 7.0]), np.array([0, 1]))
+        dataset = _synthetic()
+        dataset.features[split_train_test(dataset.n_rows).train, 4] = np.nan
+        name = dataset.feature_names[4]
+        with pytest.raises(UnimputableColumnError, match=f"{name} has no observed"):
+            fit_pipeline(dataset, window_len=1)
 
 
 class TestScaler:
@@ -372,6 +387,7 @@ class TestFitPipeline:
             pytest.param("target_mean", lambda v: float("nan"), id="nan-target-mean"),
             pytest.param("target_std", lambda v: -v, id="negative-target-scale"),
             pytest.param("target_std", lambda v: float("nan"), id="nan-target-scale"),
+            pytest.param("vocab", lambda v: {"Formation": ["a", "b"]}, id="vocab-without-columns"),
         ],
     )
     def test_inconsistent_state_is_corrupt(self, key, edit):
