@@ -22,6 +22,8 @@ import json
 import math
 import warnings
 from dataclasses import dataclass, field
+from itertools import islice
+from operator import itemgetter
 
 import numpy as np
 
@@ -118,6 +120,32 @@ def _parse_cell(text: str, row: int, column: str, required: bool = False) -> flo
     return value
 
 
+CSV_BLOCK_ROWS = 4096
+
+
+def _parse_rows(rows, first_row: int, width: int, columns, target: str) -> np.ndarray:
+    """Parse the (name, position) ``columns`` of ``rows`` to [rows, columns].
+
+    One ``np.array`` call parses a clean block.  A block that raises,
+    holds a missing or non-finite value, or has a row of the wrong width
+    is parsed again cell by cell, which raises the first row's error.
+    """
+    if columns and all(len(row) == width for row in rows):
+        take = itemgetter(*(p for _, p in columns))
+        try:
+            values = np.array(list(map(take, rows)), dtype=np.float64)
+            if np.isfinite(values).all():
+                return values.reshape(len(rows), len(columns))
+        except ValueError:
+            pass
+    parsed = []
+    for row_no, row in enumerate(rows, start=first_row):
+        if len(row) != width:
+            raise ParseError(f"row {row_no} has {len(row)} cells, header has {width}")
+        parsed.append([_parse_cell(row[p], row_no, n, n == target) for n, p in columns])
+    return np.array(parsed, dtype=np.float64).reshape(len(rows), len(columns))
+
+
 def load_csv(path, schema: DatasetSchema | None = None, require_target: bool = True) -> Dataset:
     """Read a CSV against a schema, preserving row order.
 
@@ -159,37 +187,29 @@ def load_csv(path, schema: DatasetSchema | None = None, require_target: bool = T
         if extra:
             warnings.warn(f"ignoring columns not in the schema: {extra}")
 
-        feat_rows: list[list[float]] = []
-        target_vals: list[float] = []
+        names = schema.feature_names + ([schema.target_name] if has_target else [])
+        columns = [(n, positions[n]) for n in names]
         cats: dict[str, list[str]] = {n: [] for n in schema.categorical_names}
         width = len(header)
-        for row_no, row in enumerate(reader, start=1):
-            if len(row) != width:
-                raise ParseError(
-                    f"row {row_no} has {len(row)} cells, header has {width}"
+        blocks, first_row = [], 1
+        while True:
+            rows: list[list[str]] = []
+            try:
+                rows.extend(islice(reader, CSV_BLOCK_ROWS))
+            finally:  # a bad cell read before a reader error is named first
+                blocks.append(
+                    _parse_rows(rows, first_row, width, columns, schema.target_name)
                 )
-            feat_rows.append(
-                [
-                    _parse_cell(row[positions[n]], row_no, n)
-                    for n in schema.feature_names
-                ]
-            )
-            if has_target:
-                target_vals.append(
-                    _parse_cell(
-                        row[positions[schema.target_name]],
-                        row_no,
-                        schema.target_name,
-                        required=True,
-                    )
-                )
-            for n in schema.categorical_names:
-                cats[n].append(row[positions[n]].strip())
+            if not rows:
+                break
+            for n in cats:
+                cats[n] += [row[positions[n]].strip() for row in rows]
+            first_row += len(rows)
 
-    features = np.array(feat_rows, dtype=np.float64).reshape(
-        len(feat_rows), len(schema.feature_names)
-    )
-    target = np.array(target_vals, dtype=np.float64) if has_target else None
+    values = np.concatenate(blocks)
+    n_features = len(schema.feature_names)
+    features = np.ascontiguousarray(values[:, :n_features])
+    target = np.ascontiguousarray(values[:, n_features]) if has_target else None
     return Dataset(
         feature_names=list(schema.feature_names),
         features=features,

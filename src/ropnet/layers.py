@@ -29,9 +29,15 @@ from .errors import (
 from .tensor import SeededRng, softmax_last_axis
 
 
-def _sigmoid(x):
-    # tanh saturates in both tails, so no argument can overflow.
-    return 0.5 * (1.0 + np.tanh(0.5 * x))
+def _scaled_tanh(x, scale, shift):
+    # x = scale * tanh(scale * x) + shift, in place.  Scale and shift 0.5
+    # give the sigmoid 0.5 * (1 + tanh(x / 2)) bit for bit, scale 1 and
+    # shift -0.0 give tanh; tanh saturates, so no argument can overflow.
+    x *= scale
+    np.tanh(x, out=x)
+    x *= scale
+    x += shift
+    return x
 
 
 class Param:
@@ -326,10 +332,12 @@ class LstmStack(Module):
         h_t = o_t * tanh(c_t)
 
     Each layer stores its gates stacked: W [4H, D], U [4H, H] and b
-    [4H], with row blocks in the order i, f, o, g, so one step is one
-    ``x_t @ W.T + h @ U.T + b``.  The per-gate ``Param``s (``W_i``,
-    ``U_i``, ``b_i``, ...) are row-block views of the stacked values
-    and gradients; checkpoints store them one gate at a time.
+    [4H], with row blocks in the order i, f, o, g.  One ``x @ W.T``
+    projects the whole sequence before the time loop (a [B, T, 4H]
+    buffer, small because ``Model.predict`` bounds B); each step adds
+    ``h @ U.T`` and ``b`` and applies all four gates in one pass.  The
+    per-gate ``Param``s (``W_i``, ...) are row-block views of the
+    stacked values and gradients; checkpoints store them one by one.
 
     The backward pass unrolls these relations in reverse over the full
     sequence.  ``forward`` runs every layer; ``layer_forward`` exposes a
@@ -379,17 +387,21 @@ class LstmStack(Module):
                 f"lstm layer {layer} expects width {in_dim}, got input "
                 f"shape {x.shape}"
             )
-        B, T, _ = x.shape
+        B, T, D = x.shape
         H = self.hidden_size
         (W, U, b), grads = self._stacked[layer]
+        xw = (x.reshape(B * T, D) @ W.T).reshape(B, T, 4 * H)
+        # sigmoid on the i, f, o blocks, tanh on g
+        scale = np.repeat([0.5, 1.0], [3 * H, H])
+        shift = np.repeat([0.5, -0.0], [3 * H, H])
         h = np.zeros((B, H))
         c = np.zeros((B, H))
         hs = np.empty((B, T, H))
         cache = []
         for t in range(T):
-            a = x[:, t, :] @ W.T + h @ U.T + b
-            a[:, : 3 * H] = _sigmoid(a[:, : 3 * H])
-            a[:, 3 * H :] = np.tanh(a[:, 3 * H :])
+            a = xw[:, t] + h @ U.T
+            a += b
+            _scaled_tanh(a, scale, shift)
             i, f, o, g = a[:, :H], a[:, H : 2 * H], a[:, 2 * H : 3 * H], a[:, 3 * H :]
             c_prev = c
             c = f * c_prev + i * g

@@ -181,12 +181,17 @@ class Model(Module):
             training=training,
         )
 
+    # Rows do not interact at inference.  Bounded chunks keep layer
+    # temporaries off the fresh mmaps that batch-sized ones fault in.
+    PREDICT_CHUNK = 256
+
     def predict(self, windows, statics, batch_size=256):
-        """Inference over N samples in batches; returns a flat [N] array."""
+        """Inference in chunks of at most PREDICT_CHUNK rows; flat [N]."""
         n = windows.shape[0]
+        chunk = min(batch_size, self.PREDICT_CHUNK)
         out = np.empty(n)
-        for start in range(0, n, batch_size):
-            stop = min(start + batch_size, n)
+        for start in range(0, n, chunk):
+            stop = min(start + chunk, n)
             out[start:stop] = self.forward(
                 windows[start:stop], statics[start:stop]
             )[:, 0]

@@ -286,6 +286,8 @@ def load_checkpoint(path) -> tuple[Model, PreprocessorState | None]:
             values = np.frombuffer(_read_exact(f, 8 * target.size), "<f8")
             if not np.isfinite(values).all():
                 raise CorruptCheckpointError(f"array {name!r} holds non-finite values")
+            if name.endswith(".running_var") and (values < 0.0).any():
+                raise CorruptCheckpointError(f"array {name!r} holds negative variances")
             target[...] = values.reshape(shape)
             seen.add(name)
         missing = sorted(set(arrays) - seen)

@@ -593,6 +593,15 @@ class TestPredict:
         assert f"array {array!r} holds non-finite values" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_negative_running_variance_exits_3(self, pipeline, tmp_path, capsys):
+        name = "mixer.h4_bn.running_var"
+        ckpt = poison_array(pipeline["ckpt"], tmp_path / "bad.roph", name, -2.0)
+        out = tmp_path / "out"
+        argv = ["predict", "--checkpoint", str(ckpt), "--data", str(pipeline["csv"])]
+        assert main(argv + ["--out", str(out)]) == 3
+        assert f"array {name!r} holds negative variances" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestExplain:
     def test_importance_artifacts(self, pipeline, tmp_path, capsys):
@@ -665,6 +674,15 @@ class TestExplain:
         argv = ["explain", "--checkpoint", str(ckpt), "--data", str(pipeline["csv"])]
         assert main(argv + ["--out", str(out)]) == 3
         assert f"array {array!r} holds non-finite values" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_running_variance_exits_3(self, pipeline, tmp_path, capsys):
+        name = "mixer.h4_bn.running_var"
+        ckpt = poison_array(pipeline["ckpt"], tmp_path / "bad.roph", name, -2.0)
+        out = tmp_path / "out"
+        argv = ["explain", "--checkpoint", str(ckpt), "--data", str(pipeline["csv"])]
+        assert main(argv + ["--out", str(out)]) == 3
+        assert f"array {name!r} holds negative variances" in capsys.readouterr().err
         assert not out.exists()
 
 

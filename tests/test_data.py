@@ -1,15 +1,23 @@
 """CSV round-trips, schema checks, and the synthetic well generator."""
 
+import csv
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ropnet import data
 from ropnet.data import (
+    CATEGORICAL,
+    TARGET,
     Dataset,
     DatasetSchema,
     FeatureSpec,
     SyntheticSpec,
+    _parse_cell,
     generate_synthetic,
     load_csv,
     write_csv,
@@ -163,6 +171,130 @@ class TestCsvRoundTrip:
         path.write_text("")
         with pytest.raises(ParseError, match="header"):
             load_csv(path)
+
+
+BLOCK_SCHEMA = DatasetSchema(
+    (
+        FeatureSpec("A", "u"),
+        FeatureSpec("B", "u"),
+        FeatureSpec("C", "", CATEGORICAL),
+        FeatureSpec("Y", "u", TARGET),
+    )
+)
+FLOAT_TEXT = st.floats(allow_nan=False, allow_infinity=False).map(repr)
+PADDING = st.sampled_from(["", " ", "  ", "\t", "\u00a0", "\u2003"])
+ODD_CELLS = st.one_of(
+    st.sampled_from(
+        ["", "nan", " NaN ", "NAN", "inf", "-Infinity", "1e999", "-1e999",
+         "1_000", "1__0", "0x10", "1e-400", "\u0663.\u0665", "twelve", "1.5.2"]
+    ),
+    st.tuples(PADDING, FLOAT_TEXT, PADDING).map("".join),
+    st.text(max_size=4),
+)
+# (row, column, cell): column None gives the row a wrong width instead
+EDITS = st.lists(
+    st.tuples(
+        st.integers(0, 11),
+        st.one_of(st.none(), st.integers(0, 3)),
+        ODD_CELLS,
+    ),
+    max_size=3,
+)
+
+
+def _per_cell_load(path, schema):
+    """The row-by-row loader: every numeric cell through ``_parse_cell``."""
+    with open(path, encoding="utf-8", newline="") as f:
+        reader = csv.reader(f)
+        header = [h.strip() for h in next(reader)]
+        at = {name: i for i, name in enumerate(header)}
+        has_target = schema.target_name in at
+        feats, target = [], []
+        cats = {n: [] for n in schema.categorical_names}
+        for row_no, row in enumerate(reader, start=1):
+            if len(row) != len(header):
+                raise ParseError(
+                    f"row {row_no} has {len(row)} cells, header has {len(header)}"
+                )
+            feats.append(
+                [_parse_cell(row[at[n]], row_no, n) for n in schema.feature_names]
+            )
+            if has_target:
+                y = schema.target_name
+                target.append(_parse_cell(row[at[y]], row_no, y, required=True))
+            for n in cats:
+                cats[n].append(row[at[n]].strip())
+    features = np.array(feats, dtype=np.float64).reshape(-1, 2)
+    return features, np.array(target) if has_target else None, cats
+
+
+def _outcome(load):
+    """Arrays as bytes, or the error's type and message."""
+    try:
+        features, target, cats = load()
+    except Exception as exc:
+        return type(exc), str(exc)
+    target_bytes = None if target is None else (target.shape, target.tobytes())
+    return features.shape, features.tobytes(), target_bytes, cats
+
+
+def _write_rows(path, header, rows):
+    with open(path, "w", encoding="utf-8", newline="") as f:
+        csv.writer(f).writerows([header] + rows)
+
+
+def _block_load(path):
+    dataset = load_csv(path, BLOCK_SCHEMA, require_target=False)
+    return dataset.features, dataset.target, dataset.categoricals
+
+
+class TestBlockParse:
+    """The block fast path returns what per-cell parsing returns."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        values=st.lists(st.lists(FLOAT_TEXT, min_size=4, max_size=4), max_size=12),
+        edits=EDITS,
+        block=st.integers(1, 4),
+        with_target=st.booleans(),
+    )
+    def test_matches_per_cell_parse(
+        self, tmp_path_factory, values, edits, block, with_target
+    ):
+        rows = [list(r) for r in values]
+        # cells first, so a row's width is changed only after them
+        for row, column, cell in sorted(edits, key=lambda e: e[1] is None):
+            if row >= len(rows):
+                continue
+            if column is None:
+                rows[row] = rows[row][:-1] if len(cell) % 2 else rows[row] + [cell]
+            else:
+                rows[row][column] = cell
+        header = ["B", "C", "Y", "A"]
+        if not with_target:
+            header.remove("Y")
+            rows = [r[:2] + r[3:] if len(r) >= 3 else r for r in rows]
+        path = tmp_path_factory.getbasetemp() / "blocks.csv"
+        _write_rows(path, header, rows)
+        with mock.patch.object(data, "CSV_BLOCK_ROWS", block):
+            got = _outcome(lambda: _block_load(path))
+        assert got == _outcome(lambda: _per_cell_load(path, BLOCK_SCHEMA))
+
+    @pytest.mark.parametrize("bad_row", [None, 1, -1, 0])
+    def test_rows_around_the_real_block_size(self, tmp_path, bad_row):
+        """A bad cell is named in the last row of one block, in the first
+        row of the next, or at the very end; a clean file parses whole."""
+        n = 2 * data.CSV_BLOCK_ROWS + 1
+        rows = [[repr(r * 0.25), "x", repr(-r / 3), "1e-3"] for r in range(n)]
+        if bad_row is not None:
+            rows[data.CSV_BLOCK_ROWS - 1 + bad_row][2] = ""
+        path = tmp_path / "long.csv"
+        _write_rows(path, ["B", "C", "Y", "A"], rows)
+        got = _outcome(lambda: _block_load(path))
+        assert got == _outcome(lambda: _per_cell_load(path, BLOCK_SCHEMA))
+        if bad_row is not None:
+            assert got[0] is ParseError
+            assert f"row {data.CSV_BLOCK_ROWS + bad_row}, column 'Y'" in got[1]
 
 
 class TestSyntheticSpecValidation:

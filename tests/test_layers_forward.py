@@ -15,12 +15,13 @@ from ropnet.layers import (
     AttentionPool,
     BatchNorm1d,
     FusionHead,
+    GradTape,
     LayerNorm,
     Linear,
     LstmStack,
     MixerBlock,
     TransformerEncoderBlock,
-    _sigmoid,
+    _scaled_tanh,
     concat_features,
     dropout_apply,
     last_step,
@@ -224,14 +225,51 @@ def test_forward_matches_loop_oracle(name, seed):
 class TestSigmoid:
     def test_matches_oracle(self):
         x = np.linspace(-40.0, 40.0, 160001)
-        assert _max_abs(_sigmoid(x), oracles.sigmoid(x)) <= 1e-15
+        assert _max_abs(_scaled_tanh(x.copy(), 0.5, 0.5), oracles.sigmoid(x)) <= 1e-15
 
     def test_extreme_arguments_stay_in_range_without_warning(self):
         x = np.array([-1e308, -745.0, 745.0, 1e308])
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            y = _sigmoid(x)
+            y = _scaled_tanh(x.copy(), 0.5, 0.5)
         assert np.all((y >= 0.0) & (y <= 1.0))
+
+
+def _lstm_stepwise(stack, layer, x):
+    """One layer, projecting each step's input inside the time loop."""
+    p = _lstm_params(stack, layer)
+    W = np.vstack([p[f"W_{g}"] for g in "ifog"])
+    U = np.vstack([p[f"U_{g}"] for g in "ifog"])
+    b = np.concatenate([p[f"b_{g}"] for g in "ifog"])
+    B, T, _ = x.shape
+    H = stack.hidden_size
+    h, c, hs = np.zeros((B, H)), np.zeros((B, H)), np.empty((B, T, H))
+    for t in range(T):
+        a = x[:, t, :] @ W.T + h @ U.T + b
+        i, f, o = (oracles.sigmoid(a[:, k * H : (k + 1) * H]) for k in range(3))
+        c = f * c + i * np.tanh(a[:, 3 * H :])
+        h = o * np.tanh(c)
+        hs[:, t, :] = h
+    return hs
+
+
+class TestLstmInputProjection:
+    """The once-per-layer ``x @ W.T`` matches projecting step by step."""
+
+    @pytest.mark.parametrize("T", [4, 16])
+    @pytest.mark.parametrize("record", [False, True], ids=["predict", "train"])
+    def test_layer_forward_matches_stepwise_loop(self, T, record):
+        rng = SeededRng(T)
+        stack = LstmStack(8, 64, 2, rng)
+        x = rng.normal((64, T, 8))
+        for layer in range(stack.num_layers):
+            tape = GradTape() if record else None
+            got = stack.layer_forward(layer, x, tape)
+            assert _max_abs(got, _lstm_stepwise(stack, layer, x)) <= 1e-12
+            if record:
+                tape.backward(np.ones_like(got))
+                assert tape.input_grad(x).shape == x.shape
+            x = got
 
 
 class TestLayerNormProperties:

@@ -1,5 +1,7 @@
 """Model construction, sizing, and forward behavior for all five kinds."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -207,6 +209,41 @@ class TestPredict:
         # matrix kernels may re-associate sums per batch shape: ulp slack
         np.testing.assert_allclose(full, chunked, rtol=0, atol=1e-12)
         assert full.shape == (10,)
+
+    @pytest.mark.parametrize("window_len", [4, 16])
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_every_batch_size_gives_the_same_predictions(self, kind, window_len):
+        """Batch sizes on both sides of the 256-row chunk agree.
+
+        520 rows are two full chunks plus a remainder, so every chunk
+        boundary and a short last chunk are crossed.
+        """
+        spec = ModelSpec(kind, input_features=8, window_len=window_len)
+        model = build_model(spec, SeededRng(11))
+        rng = SeededRng(12)
+        windows = rng.normal((520, window_len, 8))
+        statics = rng.normal((520, 8))
+        want = model.predict(windows, statics, batch_size=256)
+        for batch_size in (1, 3, 255, 257, 4096):
+            got = model.predict(windows, statics, batch_size=batch_size)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    def test_large_batches_do_not_raise_peak_memory(self):
+        """Predict memory is bounded by the chunk, not by batch_size."""
+        spec = ModelSpec(ADVANCED_HYBRID, input_features=8, window_len=16)
+        model = build_model(spec, SeededRng(13))
+        rng = SeededRng(14)
+        windows = rng.normal((4096, 16, 8))
+        statics = rng.normal((4096, 8))
+        peaks = {}
+        for batch_size in (256, 4096):
+            tracemalloc.start()
+            try:
+                model.predict(windows, statics, batch_size=batch_size)
+                peaks[batch_size] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[4096] <= 1.5 * peaks[256], peaks
 
 
 class TestStateArrays:
