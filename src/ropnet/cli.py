@@ -203,8 +203,8 @@ def cmd_gen_data(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = _run_config(args)
-    out = _ensure_out(args, cfg)
     state, prep = _prepare(cfg)
+    out = _ensure_out(args, cfg)
     kind = cfg.model_kind
     model, curve, report = _train_one(kind, cfg, state, prep)
     curve.write_csv(os.path.join(out, f"losscurve_{kind}.csv"))
@@ -273,8 +273,8 @@ def cmd_predict(args) -> int:
 
 def cmd_compare(args) -> int:
     cfg = _run_config(args)
-    out = _ensure_out(args, cfg)
     state, prep = _prepare(cfg)
+    out = _ensure_out(args, cfg)
     rows = ["model,r2,mae,rmse,mape_pct\n"]
     diverged = []
     for kind in MODEL_KINDS:

@@ -146,12 +146,22 @@ def _parse_rows(rows, first_row: int, width: int, columns, target: str) -> np.nd
     return np.array(parsed, dtype=np.float64).reshape(len(rows), len(columns))
 
 
+def _utf8_lines(f, path):
+    try:
+        yield from f
+    except UnicodeDecodeError as exc:
+        raise ParseError(
+            f"{path} is not UTF-8 text: byte 0x{exc.object[exc.start]:02x} "
+            f"cannot be decoded"
+        ) from None
+
+
 def load_csv(path, schema: DatasetSchema | None = None, require_target: bool = True) -> Dataset:
     """Read a CSV against a schema, preserving row order.
 
-    Empty cells and the token "nan" (any case) are missing values; any
-    other cell must parse as a finite number.  A target column, when
-    present, must be complete.
+    The file must be UTF-8.  Empty cells and the token "nan" (any case)
+    are missing values; any other cell must parse as a finite number.
+    A target column, when present, must be complete.
     Columns absent from the schema are ignored with a warning; schema
     columns absent from the header are an error, except that the
     target may be omitted when ``require_target`` is false.  Data rows
@@ -159,7 +169,7 @@ def load_csv(path, schema: DatasetSchema | None = None, require_target: bool = T
     """
     schema = schema or DatasetSchema.default()
     with open(path, "r", encoding="utf-8", newline="") as f:
-        reader = csv.reader(f)
+        reader = csv.reader(_utf8_lines(f, path))
         try:
             header = next(reader)
         except StopIteration:

@@ -6,7 +6,15 @@ maps the output gradient to input gradients while accumulating
 parameter gradients in place.  ``GradTape.backward`` replays records in
 reverse; because arrays are treated as immutable once returned, object
 identity is a safe key for routing gradients, including through
-residual connections and branch concatenations.
+residual connections and branch concatenations.  Backward pops each
+record as it replays it, so activations are freed during the pass;
+afterwards ``input_grad`` answers only for leaf arrays, those no
+recorded op produced.
+
+``pack`` moves a set of Params into one flat value buffer and one flat
+gradient buffer (an arena), each Param's arrays becoming views of
+them; ``Model`` packs itself on construction, so its optimizer step,
+``zero_grad`` and gradient norm each run over a single array.
 
 Shape conventions:
   - batches are leading: [B, F] for flat features, [B, T, F] for
@@ -41,14 +49,69 @@ def _scaled_tanh(x, scale, shift):
 
 
 class Param:
-    """Named parameter tensor with a same-shaped gradient accumulator."""
+    """Named parameter tensor with a same-shaped gradient accumulator.
+
+    Once packed, ``value`` and ``grad`` are views of an arena's flat
+    buffers and must only be updated in place.
+    """
 
     __slots__ = ("name", "value", "grad")
 
-    def __init__(self, name: str, value):
+    def __init__(self, name: str, value, grad=None):
         self.name = name
         self.value = np.ascontiguousarray(value, dtype=np.float64)
-        self.grad = np.zeros_like(self.value)
+        self.grad = np.zeros_like(self.value) if grad is None else grad
+
+
+def offsets(arrays, flat):
+    """Element offset of each array's first entry inside ``flat``."""
+    origin = flat.__array_interface__["data"][0]
+    return [
+        (a.__array_interface__["data"][0] - origin) // flat.itemsize for a in arrays
+    ]
+
+
+def _tiled(arrays):
+    """The stretch of one flat buffer that ``arrays`` cover without gap
+    or overlap, in any order; None if they do not."""
+    base = arrays[0].base
+    if base is None or base.ndim != 1:
+        return None
+    if any(a.base is not base or not a.flags.c_contiguous for a in arrays):
+        return None
+    spans = sorted(zip(offsets(arrays, base), (a.size for a in arrays)))
+    lo = end = spans[0][0]
+    for start, size in spans:
+        if start != end:
+            return None
+        end += size
+    return base[lo:end]
+
+
+def pack(params):
+    """Flat (values, grads) buffers that every Param's arrays view.
+
+    Params whose values and gradients already tile a stretch of one
+    buffer each, at matching offsets, keep them; a sub-module of a
+    packed model gets its slice of the model's arena.  Otherwise the
+    arrays are copied, in list order, into two fresh buffers and each
+    Param is rebound to views of them.
+    """
+    vals = [p.value for p in params]
+    grads = [p.grad for p in params]
+    flat_v, flat_g = _tiled(vals), _tiled(grads)
+    if flat_v is not None and flat_g is not None:
+        if offsets(vals, flat_v) == offsets(grads, flat_g):
+            return flat_v, flat_g
+    flat_v = np.concatenate([v.reshape(-1) for v in vals])
+    flat_g = np.concatenate([g.reshape(-1) for g in grads])
+    start = 0
+    for p in params:
+        stop = start + p.value.size
+        p.value = flat_v[start:stop].reshape(p.value.shape)
+        p.grad = flat_g[start:stop].reshape(p.value.shape)
+        start = stop
+    return flat_v, flat_g
 
 
 class GradTape:
@@ -56,7 +119,7 @@ class GradTape:
 
     def __init__(self):
         self._records: list[tuple] = []  # (inputs, output, fn)
-        self._grads: dict[int, np.ndarray] | None = None
+        self._grads: dict[int, tuple] | None = None  # id -> (array, grad)
 
     def record(self, inputs, output, fn):
         """Register ``output = op(*inputs)`` with backward closure ``fn``.
@@ -72,36 +135,46 @@ class GradTape:
         return len(self._records)
 
     def backward(self, loss_grad):
-        """Propagate ``loss_grad`` (w.r.t. the final output) to every input."""
-        if not self._records:
-            raise TapeEmptyError("backward called before any forward pass")
-        final = self._records[-1][1]
+        """Propagate ``loss_grad`` (w.r.t. the final output) to every input.
+
+        Each record is popped as it is replayed and its output's
+        gradient dropped once used, so the tape's activations and
+        intermediate gradients are freed during the pass.  A tape runs
+        backward once.
+        """
+        records = self._records
+        if not records:
+            raise TapeEmptyError(
+                "tape is empty: no forward pass recorded, or backward already ran"
+            )
+        final = records[-1][1]
         loss_grad = np.asarray(loss_grad, dtype=np.float64)
         if loss_grad.shape != final.shape:
             raise DimensionError(
                 f"loss gradient shape {loss_grad.shape} does not match "
                 f"output shape {final.shape}"
             )
-        grads: dict[int, np.ndarray] = {id(final): loss_grad}
-        for inputs, output, fn in reversed(self._records):
-            g = grads.get(id(output))
-            if g is None:
+        # entries hold their array, so no key outlives the id it names
+        grads = {id(final): (final, loss_grad)}
+        while records:
+            inputs, output, fn = records.pop()
+            entry = grads.pop(id(output), None)
+            if entry is None:
                 continue
-            for arr, d in zip(inputs, fn(g)):
+            for arr, d in zip(inputs, fn(entry[1])):
                 if d is None:
                     continue
-                key = id(arr)
-                if key in grads:
-                    grads[key] = grads[key] + d
-                else:
-                    grads[key] = d
+                prev = grads.get(id(arr))
+                grads[id(arr)] = (arr, d if prev is None else prev[1] + d)
         self._grads = grads
 
     def input_grad(self, x):
-        """Gradient w.r.t. an input array, available after backward()."""
+        """Gradient w.r.t. a leaf array (an input no recorded op
+        produced), available after backward(); None if it got none."""
         if self._grads is None:
             raise TapeEmptyError("backward has not run on this tape")
-        return self._grads.get(id(x))
+        entry = self._grads.get(id(x))
+        return None if entry is None else entry[1]
 
 
 class Module:
@@ -112,18 +185,29 @@ class Module:
     the checkpoint's record order.
     """
 
+    _arena = None
+
     def _members(self):
         for value in vars(self).values():
             yield from value if isinstance(value, list) else (value,)
 
-    def params(self) -> list[Param]:
+    def _collect(self, method):
         out = []
         for m in self._members():
             if isinstance(m, Param):
                 out.append(m)
             elif isinstance(m, Module):
-                out += m.params()
+                out += getattr(m, method)()
         return out
+
+    def params(self) -> list[Param]:
+        """Trainable Params in checkpoint order."""
+        return self._collect("params")
+
+    def storage(self) -> list[Param]:
+        """The Params that hold memory, in arena order; ``params()``
+        may instead list views into them."""
+        return self._collect("storage")
 
     def buffers(self) -> list[tuple[str, np.ndarray]]:
         """Non-trainable state that must survive checkpointing."""
@@ -131,9 +215,15 @@ class Module:
             b for m in self._members() if isinstance(m, Module) for b in m.buffers()
         ]
 
+    def arena(self):
+        """Flat (values, grads) buffers viewed by every Param; packs the
+        module's storage on first call."""
+        if self._arena is None:
+            self._arena = pack(self.storage())
+        return self._arena
+
     def zero_grad(self):
-        for p in self.params():
-            p.grad[...] = 0.0
+        self.arena()[1].fill(0.0)
 
 
 def _uniform_init(rng: SeededRng, shape, fan_in: int):
@@ -156,7 +246,8 @@ class Linear(Module):
                 f"linear layer expects width {self.in_dim}, got input "
                 f"shape {x.shape}"
             )
-        y = x @ self.W.value.T + self.b.value
+        y = x @ self.W.value.T
+        y += self.b.value
         if tape is None:
             return y
         W, b = self.W, self.b
@@ -256,8 +347,10 @@ class LayerNorm(Module):
         # unless fixed_stats, the backward differentiates through mu and
         # var as the moments of x over AXIS
         inv = 1.0 / np.sqrt(var + self.eps)
-        xhat = (x - mu) * inv
-        y = xhat * self.gain.value + self.bias.value
+        xhat = x - mu
+        xhat *= inv
+        y = xhat * self.gain.value
+        y += self.bias.value
         if tape is None:
             return y
         gain, bias, axis = self.gain, self.bias, self.AXIS
@@ -335,9 +428,10 @@ class LstmStack(Module):
     [4H], with row blocks in the order i, f, o, g.  One ``x @ W.T``
     projects the whole sequence before the time loop (a [B, T, 4H]
     buffer, small because ``Model.predict`` bounds B); each step adds
-    ``h @ U.T`` and ``b`` and applies all four gates in one pass.  The
-    per-gate ``Param``s (``W_i``, ...) are row-block views of the
-    stacked values and gradients; checkpoints store them one by one.
+    ``h @ U.T`` and ``b`` and applies all four gates in one pass.
+    ``params()`` lists per-gate ``Param``s (``W_i``, ...) whose values
+    and gradients are row-block views of the stacked ones; checkpoints
+    store them one by one, while ``storage()`` lists the stacked ones.
 
     The backward pass unrolls these relations in reverse over the full
     sequence.  ``forward`` runs every layer; ``layer_forward`` exposes a
@@ -356,23 +450,30 @@ class LstmStack(Module):
         self.hidden_size = hidden_size
         self.num_layers = num_layers
         H = hidden_size
-        # per layer: stacked (W, U, b) and their gradients, then the
-        # per-gate views in params() order
-        self._stacked = []
-        self._params = []
+        self.stacked = []  # per layer: W, U, b
         for layer in range(num_layers):
             in_dim = self.layer_input_size(layer)
             W, U, b = np.empty((4 * H, in_dim)), np.empty((4 * H, H)), np.zeros(4 * H)
-            grads = [np.zeros_like(W), np.zeros_like(U), np.zeros_like(b)]
-            self._stacked.append(((W, U, b), grads))
-            for k, gate in enumerate(self.GATES):
+            for k in range(len(self.GATES)):
                 rows = slice(k * H, (k + 1) * H)
                 W[rows] = _uniform_init(rng, (H, in_dim), in_dim)
                 U[rows] = _uniform_init(rng, (H, H), H)
-                for arr, grad, stem in zip((W, U, b), grads, "WUb"):
-                    p = Param(f"lstm.l{layer}.{stem}_{gate}", arr[rows])
-                    p.grad = grad[rows]
-                    self._params.append(p)
+            self.stacked += [
+                Param(f"lstm.l{layer}.{stem}", arr) for stem, arr in zip("WUb", (W, U, b))
+            ]
+
+    def params(self):
+        H = self.hidden_size
+        out = []
+        for layer in range(self.num_layers):
+            stacked = self.stacked[3 * layer : 3 * layer + 3]
+            for k, gate in enumerate(self.GATES):
+                rows = slice(k * H, (k + 1) * H)
+                out += [
+                    Param(f"lstm.l{layer}.{stem}_{gate}", p.value[rows], p.grad[rows])
+                    for stem, p in zip("WUb", stacked)
+                ]
+        return out
 
     def layer_input_size(self, layer):
         return self.input_size if layer == 0 else self.hidden_size
@@ -389,7 +490,8 @@ class LstmStack(Module):
             )
         B, T, D = x.shape
         H = self.hidden_size
-        (W, U, b), grads = self._stacked[layer]
+        Wp, Up, bp = self.stacked[3 * layer : 3 * layer + 3]
+        W, U, b = Wp.value, Up.value, bp.value
         xw = (x.reshape(B * T, D) @ W.T).reshape(B, T, 4 * H)
         # sigmoid on the i, f, o blocks, tanh on g
         scale = np.repeat([0.5, 1.0], [3 * H, H])
@@ -399,7 +501,8 @@ class LstmStack(Module):
         hs = np.empty((B, T, H))
         cache = []
         for t in range(T):
-            a = xw[:, t] + h @ U.T
+            a = h @ U.T
+            a += xw[:, t]
             a += b
             _scaled_tanh(a, scale, shift)
             i, f, o, g = a[:, :H], a[:, H : 2 * H], a[:, 2 * H : 3 * H], a[:, 3 * H :]
@@ -414,7 +517,6 @@ class LstmStack(Module):
             return hs
 
         def bwd(d_hs):
-            dW, dU, db = grads
             da = np.empty((B, T, 4 * H))
             dh_next = np.zeros((B, H))
             dc_next = np.zeros((B, H))
@@ -432,9 +534,9 @@ class LstmStack(Module):
             da2 = da.reshape(B * T, 4 * H)
             h_prev = np.zeros_like(hs)
             h_prev[:, 1:] = hs[:, :-1]
-            dW += da2.T @ x.reshape(B * T, -1)
-            dU += da2.T @ h_prev.reshape(B * T, H)
-            db += da2.sum(axis=0)
+            Wp.grad += da2.T @ x.reshape(B * T, -1)
+            Up.grad += da2.T @ h_prev.reshape(B * T, H)
+            bp.grad += da2.sum(axis=0)
             return ((da2 @ W).reshape(x.shape),)
 
         return tape.record((x,), hs, bwd)
@@ -483,7 +585,8 @@ class TransformerEncoderBlock(Module):
         q = split(x @ self.W_q.value.T)
         k = split(x @ self.W_k.value.T)
         v = split(x @ self.W_v.value.T)
-        scores = (q @ k.transpose(0, 1, 3, 2)) * scale
+        scores = q @ k.transpose(0, 1, 3, 2)
+        scores *= scale
         attn = softmax_last_axis(scores)
         ctx = attn @ v
         merged = ctx.transpose(0, 2, 1, 3).reshape(B, T, d)

@@ -99,11 +99,19 @@ class ModelSpec:
 
 
 class Model(Module):
-    """A built architecture: owns layers, exposes forward and predict."""
+    """A built architecture: owns layers, exposes forward and predict.
+
+    Once built, every Param's value and gradient are views of the
+    model's flat arena (``arena()``), in ``storage()`` order.
+    """
 
     def __init__(self, spec: ModelSpec, rng: SeededRng):
-        # layers are assigned in checkpoint record order
         self.spec = spec
+        self._build(spec, rng)
+        self.arena()
+
+    def _build(self, spec, rng):
+        # layers are assigned in checkpoint record order
         F = spec.input_features
         H = spec.lstm_hidden
         kind = spec.kind
@@ -205,4 +213,4 @@ def build_model(spec: ModelSpec, rng: SeededRng) -> Model:
 
 def parameter_count(model: Model) -> int:
     """Total trainable scalar count (persistent buffers excluded)."""
-    return sum(p.value.size for p in model.params())
+    return model.arena()[0].size

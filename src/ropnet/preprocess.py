@@ -45,23 +45,19 @@ class SplitIndices:
     test: np.ndarray
 
 
-def split_train_test(n_items: int, train_fraction: float = 0.8, seed: int = 42) -> SplitIndices:
-    """Random, reproducible index split; both sides always nonempty."""
-    if not 0.0 < train_fraction < 1.0:
-        raise RangeError(
-            f"train fraction must lie strictly in (0, 1), got {train_fraction}"
-        )
+TRAIN_FRACTION = 0.8
+SPLIT_SEED = 42
+
+
+def split_train_test(n_items: int) -> SplitIndices:
+    """Random, reproducible TRAIN_FRACTION index split; both sides
+    always nonempty."""
     if n_items < 5:
         raise InsufficientDataError(
             f"need at least 5 items to split, got {n_items}"
         )
-    n_train = int(round(train_fraction * n_items))
-    if n_train < 1 or n_items - n_train < 1:
-        raise InsufficientDataError(
-            f"cannot split {n_items} items {train_fraction:.0%}/"
-            f"{1 - train_fraction:.0%} with both sides nonempty"
-        )
-    perm = SeededRng(seed).permutation(n_items)
+    n_train = int(round(TRAIN_FRACTION * n_items))
+    perm = SeededRng(SPLIT_SEED).permutation(n_items)
     return SplitIndices(
         train=np.sort(perm[:n_train]), test=np.sort(perm[n_train:])
     )

@@ -38,6 +38,7 @@ from .errors import (
     EmptyBatchError,
     IncompatibleCheckpointError,
 )
+from .layers import GradTape, offsets, pack
 from .models import Model, ModelSpec, build_model
 from .preprocess import PreprocessorState
 from .tensor import SeededRng
@@ -93,26 +94,62 @@ def mse_loss(pred: np.ndarray, target: np.ndarray):
 
 
 class AdamWState:
-    """First and second moment accumulators, one pair per parameter."""
+    """Step count and moment estimates over the params' flat arena.
+
+    ``pack`` gives the params' values and gradients as two flat buffers
+    (a packed model's arena is used as it is); the moments and the
+    update's scratch are flat buffers of the same length, and ``m`` and
+    ``v`` list each param's view of the moments.
+    """
 
     def __init__(self, params):
         self.t = 0
-        self.m = [np.zeros_like(p.value) for p in params]
-        self.v = [np.zeros_like(p.value) for p in params]
+        self.values, self.grads = pack(params)
+        self.flat_m = np.zeros_like(self.values)
+        self.flat_v = np.zeros_like(self.values)
+        self.scratch = np.empty_like(self.values), np.empty_like(self.values)
+        starts = offsets([p.value for p in params], self.values)
+
+        def views(flat):
+            return [
+                flat[a : a + p.value.size].reshape(p.value.shape)
+                for a, p in zip(starts, params)
+            ]
+
+        self.m, self.v = views(self.flat_m), views(self.flat_v)
 
 
 def adamw_step(params, state: AdamWState, cfg: TrainConfig):
-    """One update over all parameters from their accumulated gradients."""
+    """One update of ``params`` (the list ``state`` was built from) from
+    their accumulated gradients.
+
+    In-place ufuncs over the flat buffers, in the textbook operation
+    order, so each entry gets the same bits as the per-array form.
+    """
     state.t += 1
     bc1 = 1.0 - cfg.beta1**state.t
     bc2 = 1.0 - cfg.beta2**state.t
-    for p, m, v in zip(params, state.m, state.v):
-        g = p.grad
-        m[...] = cfg.beta1 * m + (1.0 - cfg.beta1) * g
-        v[...] = cfg.beta2 * v + (1.0 - cfg.beta2) * (g * g)
-        step = (m / bc1) / (np.sqrt(v / bc2) + cfg.eps)
-        p.value *= 1.0 - cfg.learning_rate * cfg.weight_decay
-        p.value -= cfg.learning_rate * step
+    x, g, m, v = state.values, state.grads, state.flat_m, state.flat_v
+    s, step = state.scratch
+    # m = beta1 * m + (1 - beta1) * g
+    m *= cfg.beta1
+    np.multiply(g, 1.0 - cfg.beta1, out=s)
+    m += s
+    # v = beta2 * v + (1 - beta2) * g^2
+    v *= cfg.beta2
+    np.multiply(g, g, out=s)
+    s *= 1.0 - cfg.beta2
+    v += s
+    # step = (m / bc1) / (sqrt(v / bc2) + eps)
+    np.divide(v, bc2, out=s)
+    np.sqrt(s, out=s)
+    s += cfg.eps
+    np.divide(m, bc1, out=step)
+    step /= s
+    # decoupled decay, then the adaptive step
+    x *= 1.0 - cfg.learning_rate * cfg.weight_decay
+    step *= cfg.learning_rate
+    x -= step
 
 
 @dataclass
@@ -159,11 +196,9 @@ def train_model(model: Model, cfg: TrainConfig, train_data, test_data) -> LossCu
     Targets are expected in scaled space.  Every epoch reshuffles the
     training set, runs forward/backward per batch, applies one
     optimizer step per batch, and records the running train MSE plus
-    the full test MSE under inference mode.  A non-finite loss aborts
-    with a divergence error.
+    the full test MSE under inference mode.  A non-finite loss or
+    global gradient norm aborts with a divergence error.
     """
-    from .layers import GradTape
-
     train_w, train_s, train_y = train_data
     test_w, test_s, test_y = test_data
     if train_w.shape[0] == 0:
@@ -172,6 +207,7 @@ def train_model(model: Model, cfg: TrainConfig, train_data, test_data) -> LossCu
     rng = SeededRng(cfg.seed)
     params = model.params()
     opt = AdamWState(params)
+    grads = opt.grads
     curve = LossCurve()
     for epoch in range(1, cfg.epochs + 1):
         perm = rng.permutation(n)
@@ -188,6 +224,11 @@ def train_model(model: Model, cfg: TrainConfig, train_data, test_data) -> LossCu
                     f"loss became {loss} at epoch {epoch}, batch {batch_no}"
                 )
             tape.backward(grad)
+            norm = float(np.sqrt(np.dot(grads, grads)))
+            if not np.isfinite(norm):
+                raise DivergenceError(
+                    f"gradient norm became {norm} at epoch {epoch}, batch {batch_no}"
+                )
             adamw_step(params, opt, cfg)
             sq_sum += loss * idx.size
         test_mse = evaluate_mse(model, test_w, test_s, test_y)

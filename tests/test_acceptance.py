@@ -158,8 +158,8 @@ def test_05_preprocessing_contracts(capsys):
     round_trip = float(np.max(np.abs(invert_scaler(scaled, mean, std) - rows)))
     center = float(np.max(np.abs(scaled.mean(axis=0))))
 
-    split_a = split_train_test(1000, 0.8, seed=42)
-    split_b = split_train_test(1000, 0.8, seed=42)
+    split_a = split_train_test(1000)
+    split_b = split_train_test(1000)
     split_ok = (
         len(split_a.train) == 800
         and len(split_a.test) == 200

@@ -244,7 +244,7 @@ class TestTrain:
         rc = main(["train", "--config", cfg, "--out", str(out)])
         assert rc == 3
         assert f"row 40, column {column!r}" in capsys.readouterr().err
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "key, raw",
@@ -276,7 +276,7 @@ class TestTrain:
         rc = main(["train", "--config", cfg, "--out", str(out)])
         assert rc == 3
         assert "row 23, column 'ROP'" in capsys.readouterr().err
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     def test_unimputable_column_is_named(self, pipeline, tmp_path, capsys):
         rows = [line.split(",") for line in pipeline["csv"].read_text().splitlines()]
@@ -293,7 +293,26 @@ class TestTrain:
         rc = main(["train", "--config", cfg, "--out", str(out)])
         assert rc == 3
         assert "RPM has no observed values" in capsys.readouterr().err
-        assert list(out.iterdir()) == []
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["train", "compare"])
+    def test_undecodable_byte_exits_3_without_out_dir(
+        self, pipeline, tmp_path, capsys, command
+    ):
+        data = tmp_path / "bad_bytes.csv"
+        lines = pipeline["csv"].read_bytes().splitlines(keepends=True)
+        lines[30] = lines[30].replace(b",", b",\xff", 1)
+        data.write_bytes(b"".join(lines))
+        cfg = write_config(
+            tmp_path / "run.cfg",
+            **{"model.kind": "ts_mixer", "train.epochs": 1, "data.path": data},
+        )
+        out = tmp_path / "out"
+        rc = main([command, "--config", cfg, "--out", str(out)])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "bad_bytes.csv is not UTF-8" in err and "0xff" in err
+        assert not out.exists()
 
 
 class TestEval:

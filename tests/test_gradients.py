@@ -8,6 +8,8 @@ over all entries; the acceptance suite reruns the registry on three
 seeds.
 """
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -222,6 +224,24 @@ class TestTapeMechanics:
         relu(x, tape)
         with pytest.raises(TapeEmptyError):
             tape.input_grad(x)
+
+    def test_backward_frees_the_tape(self):
+        """Activations die during backward; leaf gradients stay readable
+        and the spent tape refuses a second pass."""
+        rng = SeededRng(6)
+        lin = Linear(3, 4, rng, "lin")
+        x = rng.normal((5, 3))
+        tape = GradTape()
+        hidden = lin.forward(x, tape)
+        mask = hidden > 0.0
+        out = relu(hidden, tape)
+        ref = weakref.ref(hidden)
+        del hidden
+        tape.backward(np.ones_like(out))
+        assert ref() is None
+        np.testing.assert_allclose(tape.input_grad(x), mask @ lin.W.value, atol=1e-12)
+        with pytest.raises(TapeEmptyError):
+            tape.backward(np.ones_like(out))
 
     def test_fanout_accumulates_both_paths(self):
         """x used twice: d(x+x)/dx = 2."""

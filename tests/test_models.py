@@ -246,6 +246,45 @@ class TestPredict:
         assert peaks[4096] <= 1.5 * peaks[256], peaks
 
 
+class TestArena:
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_every_param_views_the_flat_buffers(self, kind):
+        model = build_model(small_spec(kind), SeededRng(0))
+        values, grads = model.arena()
+        params = model.params()
+        assert values.size == grads.size == sum(p.value.size for p in params)
+        for p in params + model.storage():
+            assert np.shares_memory(p.value, values), p.name
+            assert np.shares_memory(p.grad, grads), p.name
+        # in place through the arena is in place for every Param
+        values[...] = 1.5
+        grads[...] = -2.0
+        for p in params:
+            assert (p.value == 1.5).all() and (p.grad == -2.0).all(), p.name
+        model.zero_grad()
+        assert not grads.any()
+
+    def test_lstm_gates_are_row_blocks_of_contiguous_stacks(self):
+        model = build_model(small_spec(ADVANCED_HYBRID), SeededRng(0))
+        H = model.spec.lstm_hidden
+        gates = {p.name: p for p in model.lstm.params()}
+        for stacked in model.lstm.stacked:
+            assert stacked.value.flags.c_contiguous and stacked.grad.flags.c_contiguous
+            layer, stem = stacked.name.split(".")[1:]
+            for k, gate in enumerate("ifog"):
+                p = gates[f"lstm.{layer}.{stem}_{gate}"]
+                assert np.shares_memory(p.value, stacked.value)
+                assert np.shares_memory(p.grad, stacked.grad)
+                np.testing.assert_array_equal(p.value, stacked.value[k * H : (k + 1) * H])
+
+    def test_sub_module_arena_is_a_slice_of_the_models(self):
+        model = build_model(small_spec(ADVANCED_HYBRID), SeededRng(0))
+        values, grads = model.arena()
+        sub_values, sub_grads = model.encoder.arena()
+        assert np.shares_memory(sub_values, values) and np.shares_memory(sub_grads, grads)
+        assert sub_values.size == sum(p.value.size for p in model.encoder.params())
+
+
 class TestStateArrays:
     @pytest.mark.parametrize("kind", MODEL_KINDS)
     def test_names_unique_and_params_first(self, kind):

@@ -2,6 +2,7 @@
 
 import hashlib
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from ropnet.errors import (
     EmptyBatchError,
     IncompatibleCheckpointError,
 )
+from ropnet import models, train as train_mod
 from ropnet.layers import GradTape, Linear, Param
 from ropnet.models import (
     ADVANCED_HYBRID,
@@ -146,6 +148,35 @@ class TestAdamW:
         np.testing.assert_array_equal(state.m[0], np.zeros((2, 2)))
         np.testing.assert_array_equal(state.v[0], np.zeros((2, 2)))
 
+    def test_flagship_steps_match_reference(self):
+        """The flat-arena update agrees with the textbook loop on every
+        entry of the flagship, read through its Params."""
+        spec = ModelSpec(kind=ADVANCED_HYBRID, input_features=8, window_len=4)
+        model = build_model(spec, SeededRng(2))
+        params = model.params()
+        cfg = TrainConfig(learning_rate=0.01, weight_decay=0.004)
+        state = AdamWState(params)
+        rng = SeededRng(3)
+
+        def flat(arrays):
+            return np.concatenate([a.reshape(-1) for a in arrays]).tolist()
+
+        vals = flat(p.value for p in params)
+        ms = vs = [0.0] * len(vals)
+        for t in range(1, 4):
+            tape = GradTape()
+            model.zero_grad()
+            out = model.forward(rng.normal((16, 4, 8)), rng.normal((16, 8)), tape)
+            tape.backward(rng.normal(out.shape))
+            grads = flat(p.grad for p in params)
+            adamw_step(params, state, cfg)
+            vals, ms, vs = oracles.adamw_step_loop(
+                vals, grads, ms, vs, t, lr=0.01, wd=0.004
+            )
+        np.testing.assert_allclose(flat(p.value for p in params), vals, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(flat(state.m), ms, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(flat(state.v), vs, rtol=0, atol=1e-12)
+
 
 class TestBatchSlices:
     def test_even_split(self):
@@ -237,6 +268,78 @@ class TestTrainModel:
         cfg = TrainConfig(learning_rate=1e22, epochs=5, batch_size=16)
         with pytest.raises(DivergenceError, match="epoch"):
             train_model(model, cfg, train, test)
+
+    def test_nan_gradient_raises_with_coordinates(self, monkeypatch):
+        """A finite loss whose gradient holds NaN must not reach the
+        weights: the global gradient norm is checked every batch."""
+        train, test = _toy_problem()
+        n_batches = len(_batch_slices(np.arange(60), 16))
+        calls = []
+
+        def loss_with_nan_grad(pred, target):
+            loss, grad = mse_loss(pred, target)
+            calls.append(loss)
+            if len(calls) == n_batches:
+                grad[0, 0] = np.nan
+            return loss, grad
+
+        monkeypatch.setattr(train_mod, "mse_loss", loss_with_nan_grad)
+        model = build_model(_small_spec(), SeededRng(3))
+        cfg = TrainConfig(epochs=1, batch_size=16)
+        with pytest.raises(
+            DivergenceError, match=f"gradient norm became nan at epoch 1, batch {n_batches - 1}"
+        ):
+            train_model(model, cfg, train, test)
+        assert all(np.isfinite(p.value).all() for p in model.params())
+
+    def test_zero_grad_and_adamw_step_run_once_per_batch(self, monkeypatch):
+        """The bench's step timer wraps ``Model.zero_grad`` and
+        ``train.adamw_step``; each must run once per batch by that name."""
+        calls = {"zero_grad": 0, "adamw_step": 0}
+        zero_grad, step = models.Model.zero_grad, train_mod.adamw_step
+
+        def counted_zero_grad(model):
+            calls["zero_grad"] += 1
+            return zero_grad(model)
+
+        def counted_step(*args):
+            calls["adamw_step"] += 1
+            return step(*args)
+
+        monkeypatch.setattr(models.Model, "zero_grad", counted_zero_grad)
+        monkeypatch.setattr(train_mod, "adamw_step", counted_step)
+        train, test = _toy_problem()
+        model = build_model(_small_spec(), SeededRng(3))
+        train_model(model, TrainConfig(epochs=2, batch_size=16), train, test)
+        n_batches = 2 * len(_batch_slices(np.arange(60), 16))
+        assert calls == {"zero_grad": n_batches, "adamw_step": n_batches}
+
+    def test_window16_flagship_step_peak_memory(self):
+        """Backward frees the tape as it runs: one window-16 flagship
+        step peaks well below the 25.8 MiB a fully kept tape needs."""
+        spec = ModelSpec(kind=ADVANCED_HYBRID, input_features=8, window_len=16)
+        model = build_model(spec, SeededRng(0))
+        rng = SeededRng(1)
+        params = model.params()
+        state = AdamWState(params)
+        window, static = rng.normal((64, 16, 8)), rng.normal((64, 8))
+        y = rng.normal((64, 1))
+
+        def step():
+            tape = GradTape()
+            model.zero_grad()
+            pred = model.forward(window, static, tape, training=True, rng=rng)
+            tape.backward(mse_loss(pred, y)[1])
+            adamw_step(params, state, TrainConfig())
+
+        step()
+        tracemalloc.start()
+        try:
+            step()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 20 * 2**20, peak / 2**20
 
     def test_empty_training_set_rejected(self):
         train, test = _toy_problem()
