@@ -10,7 +10,6 @@ original-unit metrics, checkpoints, and model-agnostic attribution.
 from .data import (
     Dataset,
     DatasetSchema,
-    FeatureSpec,
     SyntheticSpec,
     generate_synthetic,
     load_csv,
@@ -42,7 +41,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Dataset",
     "DatasetSchema",
-    "FeatureSpec",
     "GradTape",
     "LossCurve",
     "MODEL_KINDS",

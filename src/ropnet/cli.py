@@ -35,7 +35,7 @@ from .errors import (
 )
 from .explain import permutation_importance
 from .metrics import compute_metrics
-from .models import ADVANCED_HYBRID, MODEL_KINDS, ModelSpec, build_model
+from .models import ADVANCED_HYBRID, MODEL_KINDS, TS_MIXER, ModelSpec, build_model
 from .preprocess import fit_pipeline, input_schema, inverse_target, transform
 from .tensor import SeededRng
 from .train import TrainConfig, load_checkpoint, save_checkpoint, train_model
@@ -142,25 +142,39 @@ def _synthetic(cfg: RunConfig):
     )
 
 
-def _prepare(cfg: RunConfig):
-    dataset = load_csv(cfg.data_path) if cfg.data_path else _synthetic(cfg)[0]
-    return fit_pipeline(dataset, window_len=cfg.window_len)
-
-
-def _train_one(kind: str, cfg: RunConfig, state, prep):
-    spec = ModelSpec(
-        kind=kind,
-        input_features=prep.train_windows.shape[2],
-        window_len=cfg.window_len,
-    )
-    model = build_model(spec, SeededRng(cfg.seed))
-    train_cfg = TrainConfig(
+def _train_config(cfg: RunConfig, kinds) -> TrainConfig:
+    """The training settings, checked for ``kinds`` before any data is
+    read or ``--out`` made."""
+    if not set(kinds) <= set(MODEL_KINDS):
+        raise ConfigurationError(
+            f"unknown model.kind {cfg.model_kind!r}; choose from {MODEL_KINDS}"
+        )
+    if cfg.batch_size == 1 and TS_MIXER in kinds:
+        raise ConfigurationError(
+            f"train.batch_size = 1 leaves the batch norm of {TS_MIXER} with "
+            f"single-sample batches, whose statistics are undefined; use 2 or more"
+        )
+    return TrainConfig(
         learning_rate=cfg.lr,
         weight_decay=cfg.weight_decay,
         batch_size=cfg.batch_size,
         epochs=cfg.epochs,
         seed=cfg.seed,
     )
+
+
+def _prepare(cfg: RunConfig):
+    dataset = load_csv(cfg.data_path) if cfg.data_path else _synthetic(cfg)[0]
+    return fit_pipeline(dataset, window_len=cfg.window_len)
+
+
+def _train_one(kind: str, train_cfg: TrainConfig, state, prep):
+    spec = ModelSpec(
+        kind=kind,
+        input_features=prep.train_windows.shape[2],
+        window_len=state.window_len,
+    )
+    model = build_model(spec, SeededRng(train_cfg.seed))
     curve = train_model(
         model,
         train_cfg,
@@ -186,8 +200,8 @@ def cmd_gen_data(args) -> int:
     cfg = parse_config(args.config)
     if args.seed is not None:
         cfg.syn_seed = args.seed
-    out = _ensure_out(args, cfg)
     dataset, truth = _synthetic(cfg)
+    out = _ensure_out(args, cfg)
     csv_path = os.path.join(out, "synthetic.csv")
     write_csv(csv_path, dataset)
     _emit(csv_path)
@@ -203,10 +217,11 @@ def cmd_gen_data(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = _run_config(args)
+    kind = cfg.model_kind
+    train_cfg = _train_config(cfg, (kind,))
     state, prep = _prepare(cfg)
     out = _ensure_out(args, cfg)
-    kind = cfg.model_kind
-    model, curve, report = _train_one(kind, cfg, state, prep)
+    model, curve, report = _train_one(kind, train_cfg, state, prep)
     curve.write_csv(os.path.join(out, f"losscurve_{kind}.csv"))
     _emit(os.path.join(out, f"losscurve_{kind}.csv"))
     ckpt = os.path.join(out, f"checkpoint_{kind}.roph")
@@ -273,13 +288,14 @@ def cmd_predict(args) -> int:
 
 def cmd_compare(args) -> int:
     cfg = _run_config(args)
+    train_cfg = _train_config(cfg, MODEL_KINDS)
     state, prep = _prepare(cfg)
     out = _ensure_out(args, cfg)
     rows = ["model,r2,mae,rmse,mape_pct\n"]
     diverged = []
     for kind in MODEL_KINDS:
         try:
-            _, curve, report = _train_one(kind, cfg, state, prep)
+            _, curve, report = _train_one(kind, train_cfg, state, prep)
         except DivergenceError as exc:
             print(f"{kind}: diverged ({exc})", file=sys.stderr)
             rows.append(f"{kind},FAILED,FAILED,FAILED,FAILED\n")
@@ -339,19 +355,14 @@ def _ensure_out(args, cfg: RunConfig) -> str:
     return out
 
 
-def _add_common(p, config=True, checkpoint=False, data=False, model=False):
-    if config:
-        p.add_argument("--config", help="flat key=value config file")
-    p.add_argument("--seed", type=int, help="override the run seed")
-    p.add_argument("--out", help="artifact directory (default: output.dir)")
-    if checkpoint:
-        p.add_argument("--checkpoint", required=True, help=".roph model file")
-    if data:
-        p.add_argument("--data", required=True, help="input CSV")
-    if model:
-        p.add_argument(
-            "--model", choices=MODEL_KINDS, help="override model.kind"
-        )
+_OPTIONS = {
+    "--config": dict(help="flat key=value config file"),
+    "--seed": dict(type=int, help="override the run seed"),
+    "--out": dict(help="artifact directory (default: output.dir)"),
+    "--checkpoint": dict(required=True, help=".roph model file"),
+    "--data": dict(required=True, help="input CSV"),
+    "--model": dict(choices=MODEL_KINDS, help="override model.kind"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -361,23 +372,24 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, helptext, **kw):
+    def add(name, fn, helptext, options):
         p = sub.add_parser(
             name,
             help=helptext,
             epilog=_config_doc(),
             formatter_class=argparse.RawDescriptionHelpFormatter,
         )
-        _add_common(p, **kw)
+        for option in options.split():
+            p.add_argument(option, **_OPTIONS[option])
         p.set_defaults(fn=fn)
-        return p
 
-    add("gen-data", cmd_gen_data, "write a synthetic well CSV plus its truth JSON")
-    add("train", cmd_train, "train one model; writes checkpoint, loss curve, metrics", model=True)
-    add("eval", cmd_eval, "score a checkpoint against a labelled CSV", config=False, checkpoint=True, data=True)
-    add("predict", cmd_predict, "emit per-row predictions from a checkpoint", config=False, checkpoint=True, data=True)
-    add("compare", cmd_compare, "train all five architectures on shared data")
-    add("explain", cmd_explain, "permutation importance for a checkpoint", config=False, checkpoint=True, data=True)
+    run, scoring = "--config --seed --out", "--out --checkpoint --data"
+    add("gen-data", cmd_gen_data, "write a synthetic well CSV plus its truth JSON", run)
+    add("train", cmd_train, "train one model; writes checkpoint, loss curve, metrics", run + " --model")
+    add("eval", cmd_eval, "score a checkpoint against a labelled CSV", scoring)
+    add("predict", cmd_predict, "emit per-row predictions from a checkpoint", scoring)
+    add("compare", cmd_compare, "train all five architectures on shared data", run)
+    add("explain", cmd_explain, "permutation importance for a checkpoint", "--seed " + scoring)
     return parser
 
 

@@ -30,60 +30,26 @@ import numpy as np
 from .errors import ConfigurationError, ParseError, SchemaError
 from .tensor import SeededRng
 
-CONTINUOUS = "continuous"
-CATEGORICAL = "categorical"
-TARGET = "target"
-
-
-@dataclass(frozen=True)
-class FeatureSpec:
-    name: str
-    unit: str
-    kind: str = CONTINUOUS
-
-    def __post_init__(self):
-        if self.kind not in (CONTINUOUS, CATEGORICAL, TARGET):
-            raise SchemaError(f"unknown column kind {self.kind!r}")
-
 
 @dataclass(frozen=True)
 class DatasetSchema:
-    columns: tuple[FeatureSpec, ...]
+    """The columns a CSV must hold, by role: continuous features, the
+    target, and categorical features."""
+
+    feature_names: list[str]
+    target_name: str
+    categorical_names: list[str] = field(default_factory=list)
 
     def __post_init__(self):
-        names = [c.name for c in self.columns]
+        names = [*self.feature_names, *self.categorical_names, self.target_name]
         if len(set(names)) != len(names):
             raise SchemaError(f"duplicate column names in {names}")
-        if sum(c.kind == TARGET for c in self.columns) != 1:
-            raise SchemaError("schema must declare exactly one target column")
-
-    @property
-    def target_name(self) -> str:
-        return next(c.name for c in self.columns if c.kind == TARGET)
-
-    @property
-    def feature_names(self) -> list[str]:
-        return [c.name for c in self.columns if c.kind == CONTINUOUS]
-
-    @property
-    def categorical_names(self) -> list[str]:
-        return [c.name for c in self.columns if c.kind == CATEGORICAL]
 
     @classmethod
     def default(cls) -> "DatasetSchema":
-        return cls(
-            columns=(
-                FeatureSpec("WOB", "klbf"),
-                FeatureSpec("RPM", "rev/min"),
-                FeatureSpec("Torque", "kft-lbf"),
-                FeatureSpec("Standpipe Pressure", "psi"),
-                FeatureSpec("Flow Rate", "gal/min"),
-                FeatureSpec("Hook Load", "klbf"),
-                FeatureSpec("Bit Depth", "ft"),
-                FeatureSpec("Hole Depth", "ft"),
-                FeatureSpec("ROP", "ft/hr", TARGET),
-            )
-        )
+        sensors = ["WOB", "RPM", "Torque", "Standpipe Pressure", "Flow Rate",
+                   "Hook Load", "Bit Depth", "Hole Depth"]
+        return cls(sensors, "ROP")
 
 
 @dataclass
@@ -228,13 +194,14 @@ def load_csv(path, schema: DatasetSchema | None = None, require_target: bool = T
     )
 
 
-def write_csv(path, dataset: Dataset, target_name: str = "ROP"):
-    """Write features (and target when present) with repr-exact floats."""
+def write_csv(path, dataset: Dataset):
+    """Write features (and the default schema's target, when present)
+    with repr-exact floats."""
     with open(path, "w", encoding="utf-8", newline="") as f:
         writer = csv.writer(f)
         header = list(dataset.feature_names)
         if dataset.target is not None:
-            header.append(target_name)
+            header.append(DatasetSchema.default().target_name)
         writer.writerow(header)
         for i in range(dataset.n_rows):
             row = [repr(float(v)) for v in dataset.features[i]]

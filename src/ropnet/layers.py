@@ -703,10 +703,6 @@ class AttentionPool(Module):
         self.dim = dim
         self.w = Param("attn_pool.w", _uniform_init(rng, (dim,), dim))
 
-    def weights(self, y):
-        """Attention weights [B, T] for a [B, T, d] input."""
-        return softmax_last_axis(y @ self.w.value)
-
     def forward(self, y, tape=None):
         if y.ndim != 3 or y.shape[2] != self.dim:
             raise DimensionError(

@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .data import CATEGORICAL, TARGET, DatasetSchema, FeatureSpec
+from .data import DatasetSchema
 from .errors import (
     ConstantColumnError,
     CorruptCheckpointError,
@@ -106,8 +106,12 @@ class OutlierReport:
         return int(self.indices.size)
 
 
-def iqr_outlier_report(values: np.ndarray, k: float = 1.5) -> OutlierReport:
-    """Flag values strictly outside [Q1 - k*IQR, Q3 + k*IQR].
+# Tukey's fence multiplier
+FENCE_K = 1.5
+
+
+def iqr_outlier_report(values: np.ndarray) -> OutlierReport:
+    """Flag values strictly outside [Q1 - k*IQR, Q3 + k*IQR], k = FENCE_K.
 
     Quartiles use linear interpolation between order statistics.
     """
@@ -117,15 +121,10 @@ def iqr_outlier_report(values: np.ndarray, k: float = 1.5) -> OutlierReport:
         )
     q1, q3 = np.quantile(values, [0.25, 0.75])
     iqr = q3 - q1
-    lo = q1 - k * iqr
-    hi = q3 + k * iqr
+    lo = q1 - FENCE_K * iqr
+    hi = q3 + FENCE_K * iqr
     flagged = np.flatnonzero((values < lo) | (values > hi))
     return OutlierReport(lower_fence=float(lo), upper_fence=float(hi), indices=flagged)
-
-
-def fit_vocabulary(values) -> list[str]:
-    """Sorted unique category tokens."""
-    return sorted(set(values))
 
 
 def one_hot(values, vocab: list[str]) -> np.ndarray:
@@ -269,19 +268,13 @@ def inverse_target(state: PreprocessorState, y: np.ndarray) -> np.ndarray:
 def input_schema(state: PreprocessorState) -> DatasetSchema:
     """The columns ``transform`` needs: the fitted continuous and
     categorical sources plus the target."""
-    columns = [FeatureSpec(n, "") for n in state.source_names]
-    columns += [FeatureSpec(n, "", CATEGORICAL) for n in sorted(state.vocab)]
-    columns.append(FeatureSpec(state.target_name, "", TARGET))
-    return DatasetSchema(columns=tuple(columns))
+    return DatasetSchema(state.source_names, state.target_name, sorted(state.vocab))
 
 
-def fit_pipeline(
-    dataset,
-    window_len: int = 1,
-    target_name: str = "ROP",
-) -> tuple[PreprocessorState, PreparedData]:
+def fit_pipeline(dataset, window_len: int = 1) -> tuple[PreprocessorState, PreparedData]:
     """Fit the transform on the training rows, then window every row
-    with ``transform`` and split the windows."""
+    with ``transform`` and split the windows.  The target keeps the
+    default schema's name."""
     if dataset.target is None:
         raise DataError("fitting requires the target column")
     n = dataset.features.shape[0]
@@ -304,10 +297,11 @@ def fit_pipeline(
         np.where(np.isnan(train_rows), fills, train_rows), sources
     )
     vocab = {
-        c: fit_vocabulary([tokens[i] for i in fit_rows])
+        c: sorted({tokens[i] for i in fit_rows})
         for c, tokens in sorted(dataset.categoricals.items())
     }
     encoded = _one_hot_names(vocab)
+    target_name = DatasetSchema.default().target_name
     t_mean, t_std = fit_standard_scaler(y_raw[fit_rows, None], [target_name])
     state = PreprocessorState(
         feature_names=sources + encoded,

@@ -54,9 +54,10 @@ class TrainConfig:
     batch_size: int = 64
     epochs: int = 100
     seed: int = 42
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
+    # AdamW's moment decay rates and denominator guard, as published
+    beta1 = 0.9
+    beta2 = 0.999
+    eps = 1e-8
 
     def __post_init__(self):
         if self.learning_rate <= 0:
@@ -71,8 +72,6 @@ class TrainConfig:
             raise ConfigurationError(
                 "batch size and epoch count must be at least 1"
             )
-        if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
-            raise ConfigurationError("betas must lie in [0, 1)")
 
 
 def mse_loss(pred: np.ndarray, target: np.ndarray):

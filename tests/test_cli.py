@@ -215,6 +215,58 @@ class TestTrain:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command, key, raw",
+        [
+            ("train", "model.kind", "bogus"),
+            ("train", "train.lr", "-1"),
+            ("train", "train.epochs", "0"),
+            ("compare", "train.lr", "-1"),
+            ("compare", "train.epochs", "0"),
+            ("gen-data", "data.synthetic.n_rows", "5"),
+        ],
+    )
+    def test_bad_run_config_exits_2_without_out_dir(
+        self, tmp_path, capsys, command, key, raw
+    ):
+        cfg = write_config(
+            tmp_path / "run.cfg", **{"data.synthetic.n_rows": 120, key: raw}
+        )
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["train", "compare"])
+    def test_batch_size_one_with_batch_norm_exits_2_before_loading(
+        self, tmp_path, capsys, command
+    ):
+        cfg = write_config(
+            tmp_path / "run.cfg",
+            **{
+                "model.kind": "ts_mixer",
+                "train.batch_size": 1,
+                "data.path": tmp_path / "absent.csv",
+            },
+        )
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        assert "train.batch_size" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_batch_size_one_without_batch_norm_trains(self, tmp_path):
+        cfg = write_config(
+            tmp_path / "run.cfg",
+            **{
+                "model.kind": "baseline_lstm",
+                "train.batch_size": 1,
+                "train.epochs": 1,
+                "data.synthetic.n_rows": 120,
+            },
+        )
+        assert main(["train", "--config", cfg, "--out", str(tmp_path)]) == 0
+        assert (tmp_path / "checkpoint_baseline_lstm.roph").exists()
+
     # the huge step overflows activations; that warning is the point
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_exits_4(self, tmp_path, capsys):
@@ -760,6 +812,14 @@ class TestArgumentSurface:
     def test_subcommand_required(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main([])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("command", ["eval", "predict"])
+    def test_seed_rejected_where_nothing_is_random(self, pipeline, tmp_path, command):
+        argv = [command, "--checkpoint", str(pipeline["ckpt"])]
+        argv += ["--data", str(pipeline["csv"]), "--out", str(tmp_path), "--seed", "5"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
         assert exc.value.code == 2
 
     def test_unreadable_config_exits_2(self, tmp_path, capsys):

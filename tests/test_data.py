@@ -11,11 +11,8 @@ from hypothesis import strategies as st
 
 from ropnet import data
 from ropnet.data import (
-    CATEGORICAL,
-    TARGET,
     Dataset,
     DatasetSchema,
-    FeatureSpec,
     SyntheticSpec,
     _parse_cell,
     generate_synthetic,
@@ -44,24 +41,23 @@ class TestSchema:
         assert schema.categorical_names == []
 
     def test_duplicate_names_rejected(self):
-        cols = [
-            FeatureSpec("A", "u"),
-            FeatureSpec("A", "u"),
-            FeatureSpec("y", "u", kind="target"),
-        ]
-        with pytest.raises(SchemaError):
-            DatasetSchema(cols)
+        with pytest.raises(SchemaError, match="duplicate"):
+            DatasetSchema(["A", "A"], "y")
+        with pytest.raises(SchemaError, match="duplicate"):
+            DatasetSchema(["A"], "y", ["C", "C"])
 
-    def test_exactly_one_target_required(self):
-        with pytest.raises(SchemaError):
-            DatasetSchema([FeatureSpec("A", "u")])
-        with pytest.raises(SchemaError):
-            DatasetSchema(
-                [
-                    FeatureSpec("y1", "u", kind="target"),
-                    FeatureSpec("y2", "u", kind="target"),
-                ]
-            )
+    @pytest.mark.parametrize(
+        "features, target, categoricals",
+        [
+            (["A", "y"], "y", []),
+            (["A"], "y", ["y"]),
+            (["A", "C"], "y", ["C"]),
+        ],
+        ids=["target-is-feature", "target-is-categorical", "feature-is-categorical"],
+    )
+    def test_name_shared_between_roles_rejected(self, features, target, categoricals):
+        with pytest.raises(SchemaError, match="duplicate"):
+            DatasetSchema(features, target, categoricals)
 
 
 class TestCsvRoundTrip:
@@ -173,14 +169,7 @@ class TestCsvRoundTrip:
             load_csv(path)
 
 
-BLOCK_SCHEMA = DatasetSchema(
-    (
-        FeatureSpec("A", "u"),
-        FeatureSpec("B", "u"),
-        FeatureSpec("C", "", CATEGORICAL),
-        FeatureSpec("Y", "u", TARGET),
-    )
-)
+BLOCK_SCHEMA = DatasetSchema(["A", "B"], "Y", ["C"])
 FLOAT_TEXT = st.floats(allow_nan=False, allow_infinity=False).map(repr)
 PADDING = st.sampled_from(["", " ", "  ", "\t", "\u00a0", "\u2003"])
 ODD_CELLS = st.one_of(

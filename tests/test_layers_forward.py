@@ -393,13 +393,3 @@ class TestShapeValidation:
         head = FusionHead(4, 3, SeededRng(0))
         with pytest.raises(DimensionError):
             head.forward(np.zeros((2, 5)), np.zeros((2, 3)))
-
-
-class TestAttentionPoolWeights:
-    def test_weights_nonnegative_sum_to_one(self):
-        rng = SeededRng(8)
-        pool = AttentionPool(4, rng)
-        w = pool.weights(rng.normal((3, 6, 4)))
-        assert w.shape == (3, 6)
-        assert np.all(w >= 0)
-        np.testing.assert_allclose(w.sum(axis=1), 1.0, atol=1e-12)

@@ -21,7 +21,6 @@ from ropnet.preprocess import (
     apply_scaler,
     fit_pipeline,
     fit_standard_scaler,
-    fit_vocabulary,
     invert_scaler,
     inverse_target,
     iqr_outlier_report,
@@ -180,9 +179,6 @@ class TestOneHot:
     def test_empty_vocab_rejected(self):
         with pytest.raises(EncodingError):
             one_hot(["A"], [])
-
-    def test_vocabulary_sorted_unique(self):
-        assert fit_vocabulary(["b", "a", "b", "c"]) == ["a", "b", "c"]
 
 
 class TestMakeWindows:
@@ -403,6 +399,14 @@ class TestCategoricalPipeline:
         block = prep.train_statics[:, -2:]
         assert set(np.unique(block)) <= {0.0, 1.0}
         np.testing.assert_array_equal(block.sum(axis=1), np.ones(len(block)))
+
+    def test_vocabulary_sorted_unique(self):
+        """Repeated tokens, first seen out of order, fit as one sorted list."""
+        dataset = self._dataset()
+        cycle = ["shale", "sand", "shale", "clay"]
+        dataset.categoricals["Formation"] = [cycle[i % 4] for i in range(dataset.n_rows)]
+        state, _ = fit_pipeline(dataset, window_len=1)
+        assert state.vocab == {"Formation": ["clay", "sand", "shale"]}
 
     def test_unseen_category_at_inference_warns(self):
         dataset = self._dataset()

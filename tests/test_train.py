@@ -87,8 +87,6 @@ class TestTrainConfig:
             TrainConfig(weight_decay=-1e-5)
         with pytest.raises(ConfigurationError):
             TrainConfig(batch_size=0)
-        with pytest.raises(ConfigurationError):
-            TrainConfig(beta1=1.0)
 
 
 class TestAdamW:
