@@ -112,21 +112,27 @@ def _parse_rows(rows, first_row: int, width: int, columns, target: str) -> np.nd
     return np.array(parsed, dtype=np.float64).reshape(len(rows), len(columns))
 
 
-def _utf8_lines(f, path):
+def _csv_rows(f, path):
+    """``csv.reader`` rows of ``f``, with its decode and reader errors
+    raised as ParseError."""
+    reader = csv.reader(f)
     try:
-        yield from f
+        yield from reader
     except UnicodeDecodeError as exc:
         raise ParseError(
             f"{path} is not UTF-8 text: byte 0x{exc.object[exc.start]:02x} "
             f"cannot be decoded"
         ) from None
+    except csv.Error as exc:
+        raise ParseError(f"{path} line {reader.line_num}: {exc}") from None
 
 
 def load_csv(path, schema: DatasetSchema | None = None, require_target: bool = True) -> Dataset:
     """Read a CSV against a schema, preserving row order.
 
-    The file must be UTF-8.  Empty cells and the token "nan" (any case)
-    are missing values; any other cell must parse as a finite number.
+    The file must be UTF-8; a leading byte-order mark is skipped.
+    Empty cells and the token "nan" (any case) are missing values; any
+    other cell must parse as a finite number.
     A target column, when present, must be complete.
     Columns absent from the schema are ignored with a warning; schema
     columns absent from the header are an error, except that the
@@ -134,8 +140,8 @@ def load_csv(path, schema: DatasetSchema | None = None, require_target: bool = T
     are numbered from 1 in error messages.
     """
     schema = schema or DatasetSchema.default()
-    with open(path, "r", encoding="utf-8", newline="") as f:
-        reader = csv.reader(_utf8_lines(f, path))
+    with open(path, "r", encoding="utf-8-sig", newline="") as f:
+        reader = _csv_rows(f, path)
         try:
             header = next(reader)
         except StopIteration:
@@ -223,9 +229,9 @@ _LAG1_W = np.array([0.0, 1.2, -0.9, 0.7, 0.0, 0.5, 0.0, 0.0])
 _LAG2_W = np.array([0.6, 0.0, 0.0, -0.5, 0.4, 0.0, 0.0, 0.0])
 _SIGNAL_SCALE = 10.0
 
-DEFAULT_STATIC_COEFFS = tuple(_SIGNAL_SCALE * _STATIC_W / _BASE_STDS)
-DEFAULT_LAG1_COEFFS = tuple(_SIGNAL_SCALE * _LAG1_W / _BASE_STDS)
-DEFAULT_LAG2_COEFFS = tuple(_SIGNAL_SCALE * _LAG2_W / _BASE_STDS)
+STATIC_COEFFS = _SIGNAL_SCALE * _STATIC_W / _BASE_STDS
+LAG1_COEFFS = _SIGNAL_SCALE * _LAG1_W / _BASE_STDS
+LAG2_COEFFS = _SIGNAL_SCALE * _LAG2_W / _BASE_STDS
 
 # Calibrated so the irreducible floor sits near R^2 = 0.99 for the
 # default row count and coefficients.
@@ -239,15 +245,12 @@ _COMMON_FACTOR = 0.1
 
 @dataclass
 class SyntheticSpec:
-    """Knobs for the generator; coefficient tuples are in raw units."""
+    """Knobs for the generator; its coefficients are module constants."""
 
     n_rows: int = 2000
     noise_sigma: float = DEFAULT_NOISE_SIGMA
     regime_count: int = 3
     seed: int = 42
-    static_coeffs: tuple = DEFAULT_STATIC_COEFFS
-    lag1_coeffs: tuple = DEFAULT_LAG1_COEFFS
-    lag2_coeffs: tuple = DEFAULT_LAG2_COEFFS
 
     def __post_init__(self):
         if self.n_rows < 100:
@@ -262,16 +265,6 @@ class SyntheticSpec:
             raise ConfigurationError(
                 f"regime count must be at least 1, got {self.regime_count}"
             )
-        n_feat = len(_BASE_MEANS)
-        for label, coeffs in (
-            ("static_coeffs", self.static_coeffs),
-            ("lag1_coeffs", self.lag1_coeffs),
-            ("lag2_coeffs", self.lag2_coeffs),
-        ):
-            if len(coeffs) != n_feat:
-                raise ConfigurationError(
-                    f"{label} must have {n_feat} entries, got {len(coeffs)}"
-                )
 
 
 def generate_synthetic(spec: SyntheticSpec) -> tuple[Dataset, dict]:
@@ -316,9 +309,7 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[Dataset, dict]:
     )
     x = _BASE_MEANS + _BASE_STDS * (z + channel_shift[regime_full])
 
-    c_s = np.asarray(spec.static_coeffs)
-    c_1 = np.asarray(spec.lag1_coeffs)
-    c_2 = np.asarray(spec.lag2_coeffs)
+    c_s, c_1, c_2 = STATIC_COEFFS, LAG1_COEFFS, LAG2_COEFFS
     # Offsets absorb the coefficient-weighted mean so the target sits
     # near a realistic level.
     center = _TARGET_MEAN_LEVEL - (c_s + c_1 + c_2) @ _BASE_MEANS

@@ -25,6 +25,8 @@ from .errors import (
 from .tensor import SeededRng
 
 _CONDITION_LIMIT = 1e10
+# Shuffles per feature; an importance is the mean rise over them.
+REPEATS = 5
 
 
 @dataclass
@@ -32,7 +34,6 @@ class ImportanceReport:
     feature_names: list[str]
     importances: list[float]
     base_mse: float
-    repeats: int
 
     def ranking(self) -> list[int]:
         """Feature indices from most to least important."""
@@ -56,7 +57,7 @@ class ImportanceReport:
             json.dumps(
                 {
                     "base_mse": self.base_mse,
-                    "repeats": self.repeats,
+                    "repeats": REPEATS,
                     "importances": dict(
                         zip(self.feature_names, self.importances)
                     ),
@@ -69,17 +70,6 @@ class ImportanceReport:
         )
 
 
-def _permuted_mse(model, windows, statics, y, feature: int, perm) -> float:
-    """MSE after rewiring one feature column through ``perm``."""
-    w = windows.copy()
-    s = statics.copy()
-    w[:, :, feature] = windows[perm][:, :, feature]
-    s[:, feature] = statics[perm, feature]
-    pred = model.predict(w, s)
-    diff = pred - y
-    return float(np.mean(diff * diff))
-
-
 def permutation_importance(
     model,
     windows,
@@ -87,17 +77,14 @@ def permutation_importance(
     y,
     feature_names,
     rng: SeededRng,
-    repeats: int = 5,
 ) -> ImportanceReport:
-    """Mean MSE increase per feature over ``repeats`` shuffles.
+    """Mean MSE increase per feature over ``REPEATS`` shuffles.
 
+    Each shuffle rewires one feature inside a single working copy of
+    the inputs, which gets that column back before the next feature.
     Scores can be slightly negative for irrelevant features (shuffle
     noise); they are reported as computed.
     """
-    if repeats < 3:
-        raise RangeError(
-            f"importance needs at least 3 repeats for a stable mean, got {repeats}"
-        )
     n = windows.shape[0]
     if n < 2:
         raise InsufficientDataError(
@@ -107,21 +94,28 @@ def permutation_importance(
         raise DimensionError(
             f"{len(feature_names)} names for {windows.shape[2]} features"
         )
-    pred = model.predict(windows, statics)
-    diff = pred - y
-    base_mse = float(np.mean(diff * diff))
+
+    def mse(w, s) -> float:
+        diff = model.predict(w, s) - y
+        return float(np.mean(diff * diff))
+
+    base_mse = mse(windows, statics)
+    w, s = windows.copy(), statics.copy()
     importances = []
     for feature in range(windows.shape[2]):
         rise = 0.0
-        for _ in range(repeats):
+        for _ in range(REPEATS):
             perm = rng.permutation(n)
-            rise += _permuted_mse(model, windows, statics, y, feature, perm) - base_mse
-        importances.append(rise / repeats)
+            w[:, :, feature] = windows[perm, :, feature]
+            s[:, feature] = statics[perm, feature]
+            rise += mse(w, s) - base_mse
+        importances.append(rise / REPEATS)
+        w[:, :, feature] = windows[:, :, feature]
+        s[:, feature] = statics[:, feature]
     return ImportanceReport(
         feature_names=list(feature_names),
         importances=importances,
         base_mse=base_mse,
-        repeats=repeats,
     )
 
 

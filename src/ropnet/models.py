@@ -82,8 +82,12 @@ class ModelSpec:
             raise ConfigurationError(
                 f"dropout must lie in [0, 1), got {self.dropout}"
             )
-        if min(self.lstm_hidden, self.lstm_layers, self.heads, self.ffn_dim) < 1:
-            raise ConfigurationError("all width settings must be positive")
+        widths = (self.lstm_hidden, self.lstm_layers, self.heads, self.ffn_dim,
+                  self.mixer_hidden, *self.branch_dims)
+        if not self.branch_dims or min(widths) < 1:
+            raise ConfigurationError(
+                "all width settings must be positive and branch_dims non-empty"
+            )
         if self.lstm_hidden % self.heads != 0:
             raise ConfigurationError(
                 f"lstm_hidden {self.lstm_hidden} must be divisible by "

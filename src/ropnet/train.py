@@ -287,7 +287,7 @@ def load_checkpoint(path) -> tuple[Model, PreprocessorState | None]:
             spec = ModelSpec.from_dict(header["model_spec"])
             pre = header.get("preprocessor")
             preprocessor = None if pre is None else PreprocessorState.from_dict(pre)
-        except (ValueError, KeyError, TypeError) as exc:
+        except (ValueError, KeyError, TypeError, ConfigurationError) as exc:
             raise CorruptCheckpointError(
                 f"unreadable checkpoint header: {exc}"
             ) from exc

@@ -27,12 +27,12 @@ def write_config(path, **overrides):
     return str(path)
 
 
-def rewrite_preprocessor(src, dst, **changes):
-    """Copy a checkpoint with keys of its preprocessor header replaced."""
+def rewrite_header(src, dst, section="preprocessor", **changes):
+    """Copy a checkpoint with keys of one header section replaced."""
     blob = src.read_bytes()
     (json_len,) = struct.unpack("<I", blob[8:12])
     header = json.loads(blob[12 : 12 + json_len])
-    header["preprocessor"].update(changes)
+    header[section].update(changes)
     payload = json.dumps(header, sort_keys=True).encode("utf-8")
     dst.write_bytes(
         blob[:8] + struct.pack("<I", len(payload)) + payload + blob[12 + json_len :]
@@ -461,7 +461,7 @@ class TestEval:
         assert "preprocessor" in capsys.readouterr().err
 
     def test_extra_preprocessor_key_is_corrupt(self, pipeline, tmp_path, capsys):
-        ckpt = rewrite_preprocessor(
+        ckpt = rewrite_header(
             pipeline["ckpt"], tmp_path / "extra.roph", surprise=1
         )
         rc = main(
@@ -479,7 +479,7 @@ class TestEval:
         assert "unreadable checkpoint header" in capsys.readouterr().err
 
     def test_older_header_with_empty_derived_list_still_scores(self, pipeline, tmp_path):
-        older = rewrite_preprocessor(pipeline["ckpt"], tmp_path / "v1.roph", derived=[])
+        older = rewrite_header(pipeline["ckpt"], tmp_path / "v1.roph", derived=[])
         for ckpt, out in ((older, "older"), (pipeline["ckpt"], "current")):
             argv = ["eval", "--checkpoint", str(ckpt), "--data", str(pipeline["csv"])]
             assert main(argv + ["--out", str(tmp_path / out)]) == 0
@@ -489,7 +489,7 @@ class TestEval:
         ).read_bytes()
 
     def test_header_with_derived_features_is_incompatible(self, pipeline, tmp_path, capsys):
-        ckpt = rewrite_preprocessor(
+        ckpt = rewrite_header(
             pipeline["ckpt"], tmp_path / "ser.roph", derived=["SER"]
         )
         rc = main(
@@ -526,7 +526,7 @@ class TestEval:
 
     def test_inconsistent_preprocessor_header_exits_3(self, pipeline, tmp_path, capsys):
         _, state = load_checkpoint(pipeline["ckpt"])
-        ckpt = rewrite_preprocessor(
+        ckpt = rewrite_header(
             pipeline["ckpt"], tmp_path / "short.roph", fill_values=state.fill_values[:3]
         )
         out = tmp_path / "out"
@@ -536,13 +536,40 @@ class TestEval:
         assert not out.exists()
 
     def test_vocab_without_its_feature_columns_exits_3(self, pipeline, tmp_path, capsys):
-        ckpt = rewrite_preprocessor(
+        ckpt = rewrite_header(
             pipeline["ckpt"], tmp_path / "vocab.roph", vocab={"Formation": ["a", "b"]}
         )
         out = tmp_path / "out"
         argv = ["eval", "--checkpoint", str(ckpt), "--data", str(pipeline["csv"])]
         assert main(argv + ["--out", str(out)]) == 3
         assert "feature names do not match" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "kind, key, value",
+        [
+            ("ts_mixer", "kind", "bogus"),
+            ("ts_mixer", "dropout", 1.5),
+            ("ts_mixer", "window_len", 0),
+            ("ts_mixer", "heads", 3),
+            ("ts_mixer", "mixer_hidden", 0),
+            ("hybrid_lstm_mixer", "branch_dims", []),
+        ],
+    )
+    def test_bad_model_spec_in_header_exits_3(
+        self, pipeline, tmp_path, capsys, kind, key, value
+    ):
+        ckpt = pipeline["ckpt"]
+        if kind != "ts_mixer":
+            _, state = load_checkpoint(ckpt)
+            spec = ModelSpec(kind=kind, input_features=8, window_len=2)
+            ckpt = tmp_path / f"{kind}.roph"
+            save_checkpoint(ckpt, build_model(spec, SeededRng(0)), state)
+        bad = rewrite_header(ckpt, tmp_path / "bad.roph", "model_spec", **{key: value})
+        out = tmp_path / "out"
+        argv = ["eval", "--checkpoint", str(bad), "--data", str(pipeline["csv"])]
+        assert main(argv + ["--out", str(out)]) == 3
+        assert "unreadable checkpoint header" in capsys.readouterr().err
         assert not out.exists()
 
     def test_column_named_twice_exits_3(self, pipeline, tmp_path, capsys):
@@ -644,9 +671,31 @@ class TestPredict:
         assert "row 5, column 'ROP'" in capsys.readouterr().err
         assert not (out / "predictions.csv").exists()
 
+    def test_overlong_cell_exits_3_without_out_dir(self, pipeline, tmp_path, capsys):
+        # csv.field_size_limit() is 131,072 characters by default
+        cell = "1" * 200_000
+        data = set_cell(pipeline["csv"], tmp_path / "long.csv", 30, "WOB", cell)
+        out = tmp_path / "out"
+        argv = ["predict", "--checkpoint", str(pipeline["ckpt"]), "--data", str(data)]
+        assert main(argv + ["--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "long.csv line 31: field larger than field limit" in err
+        assert not out.exists()
+
+    def test_byte_order_mark_is_skipped(self, pipeline, tmp_path):
+        bom = tmp_path / "bom.csv"
+        bom.write_bytes(b"\xef\xbb\xbf" + pipeline["csv"].read_bytes())
+        written = []
+        for data, name in ((pipeline["csv"], "plain"), (bom, "bom")):
+            argv = ["predict", "--checkpoint", str(pipeline["ckpt"])]
+            argv += ["--data", str(data), "--out", str(tmp_path / name)]
+            assert main(argv) == 0
+            written.append((tmp_path / name / "predictions.csv").read_bytes())
+        assert written[0] == written[1]
+
     def test_zero_scale_in_header_exits_3(self, pipeline, tmp_path, capsys):
         _, state = load_checkpoint(pipeline["ckpt"])
-        ckpt = rewrite_preprocessor(
+        ckpt = rewrite_header(
             pipeline["ckpt"], tmp_path / "flat.roph", feat_std=[0.0] + state.feat_std[1:]
         )
         out = tmp_path / "out"

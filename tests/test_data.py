@@ -300,10 +300,6 @@ class TestSyntheticSpecValidation:
         with pytest.raises(ConfigurationError):
             SyntheticSpec(regime_count=0)
 
-    def test_coefficient_length_checked(self):
-        with pytest.raises(ConfigurationError):
-            SyntheticSpec(static_coeffs=(1.0, 2.0))
-
 
 class TestGenerator:
     def test_deterministic_per_seed(self):
@@ -371,19 +367,13 @@ class TestGenerator:
 
 class TestGroundTruthRecovery:
     def test_noiseless_static_process_is_exactly_linear(self):
-        """noise 0, no lags, one regime: OLS hits R^2 = 1."""
-        zeros = (0.0,) * 8
-        spec = SyntheticSpec(
-            n_rows=200,
-            seed=4,
-            noise_sigma=0.0,
-            regime_count=1,
-            lag1_coeffs=zeros,
-            lag2_coeffs=zeros,
-        )
+        """noise 0, one regime: OLS on the row and its two lags hits R^2 = 1."""
+        spec = SyntheticSpec(n_rows=200, seed=4, noise_sigma=0.0, regime_count=1)
         dataset, truth = generate_synthetic(spec)
         assert truth["bayes_r2"] == 1.0
-        r2 = _ols_r2(dataset.features, dataset.target)
+        assert truth["lag1_coeffs"] == data.LAG1_COEFFS.tolist()
+        x, y = dataset.features, dataset.target
+        r2 = _ols_r2(np.hstack([x[2:], x[1:-1], x[:-2]]), y[2:])
         assert r2 > 1.0 - 1e-9
 
     def test_lagged_fit_beats_orderless_fit(self):

@@ -12,8 +12,8 @@ from ropnet.errors import (
     RangeError,
 )
 from ropnet.explain import (
+    REPEATS,
     ImportanceReport,
-    _permuted_mse,
     local_surrogate,
     permutation_importance,
 )
@@ -80,11 +80,6 @@ class TestPermutationImportance:
         assert report.importances[3] == 0.0
         assert report.importances[1] > 1.0
 
-    def test_identity_permutation_is_exact_zero(self):
-        model, windows, statics, y = make_problem(seed=3)
-        mse = _permuted_mse(model, windows, statics, y, 1, np.arange(len(y)))
-        assert mse == 0.0
-
     def test_permutation_destroys_feature_in_window_too(self):
         """A model reading the window (not the static row) must still
         see the feature shuffled."""
@@ -103,13 +98,6 @@ class TestPermutationImportance:
         )
         assert report.ranking()[0] == 1
         assert report.importances[1] > 0.0
-
-    def test_repeat_floor(self):
-        model, windows, statics, y = make_problem(seed=0)
-        with pytest.raises(RangeError):
-            permutation_importance(
-                model, windows, statics, y, list("abcd"), SeededRng(0), repeats=2
-            )
 
     def test_sample_floor(self):
         model, windows, statics, y = make_problem(seed=0, n=1)
@@ -135,6 +123,49 @@ class TestPermutationImportance:
         ]
         assert reports[0].importances == reports[1].importances
 
+    def test_inputs_left_unchanged(self):
+        model, windows, statics, y = make_problem(seed=6)
+        before = windows.copy(), statics.copy()
+        permutation_importance(model, windows, statics, y, list("abcd"), SeededRng(1))
+        np.testing.assert_array_equal(windows, before[0])
+        np.testing.assert_array_equal(statics, before[1])
+
+    def test_matches_shuffling_fresh_copies(self):
+        """The same seeded permutations, each applied to its own fresh
+        copy of the inputs, give exactly the same importances."""
+        rng = SeededRng(7)
+        statics = rng.normal((48, 3))
+        windows = rng.normal((48, 2, 3))
+        coef = np.array([0.5, -2.0, 1.0])
+
+        class _Mixed:
+            def predict(self, windows, statics):
+                return statics @ coef + windows[:, 0, :] @ coef**2
+
+        model = _Mixed()
+        y = model.predict(windows, statics) + rng.normal(48)
+        report = permutation_importance(
+            model, windows, statics, y, list("abc"), SeededRng(11)
+        )
+
+        def mse(w, s):
+            return float(np.mean((model.predict(w, s) - y) ** 2))
+
+        perms = SeededRng(11)
+        base = mse(windows, statics)
+        expected = []
+        for feature in range(3):
+            rise = 0.0
+            for _ in range(REPEATS):
+                perm = perms.permutation(48)
+                w, s = windows.copy(), statics.copy()
+                w[:, :, feature] = windows[perm][:, :, feature]
+                s[:, feature] = statics[perm, feature]
+                rise += mse(w, s) - base
+            expected.append(rise / REPEATS)
+        assert report.base_mse == base
+        assert report.importances == expected
+
 
 class TestImportanceReport:
     def _report(self):
@@ -142,7 +173,6 @@ class TestImportanceReport:
             feature_names=["a", "b", "c"],
             importances=[0.5, 2.0, -0.01],
             base_mse=1.25,
-            repeats=5,
         )
 
     def test_ranking_descends(self):
@@ -160,6 +190,7 @@ class TestImportanceReport:
     def test_json_payload(self):
         payload = json.loads(self._report().to_json())
         assert payload["base_mse"] == 1.25
+        assert payload["repeats"] == REPEATS
         assert payload["importances"] == {"a": 0.5, "b": 2.0, "c": -0.01}
 
     def test_json_refuses_nan(self):

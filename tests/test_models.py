@@ -123,6 +123,9 @@ class TestSpecValidation:
             ModelSpec(kind=BASELINE_LSTM, input_features=0)
         with pytest.raises(ConfigurationError):
             ModelSpec(kind=BASELINE_LSTM, input_features=8, window_len=0)
+        for bad in ({"mixer_hidden": 0}, {"branch_dims": ()}, {"branch_dims": (8, 0)}):
+            with pytest.raises(ConfigurationError):
+                ModelSpec(kind=BASELINE_LSTM, input_features=8, **bad)
 
     def test_dict_round_trip(self):
         spec = small_spec(ADVANCED_HYBRID)
