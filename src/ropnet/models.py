@@ -36,7 +36,7 @@ from .layers import (
     dropout_apply,
     last_step,
 )
-from .tensor import SeededRng
+from .tensor import SeededRng, _pin_heap_thresholds
 
 BASELINE_LSTM = "baseline_lstm"
 TS_MIXER = "ts_mixer"
@@ -74,6 +74,14 @@ class ModelSpec:
             raise ConfigurationError(
                 f"unknown model kind {self.kind!r}; choose from {MODEL_KINDS}"
             )
+        counts = (self.input_features, self.window_len, self.lstm_hidden,
+                  self.lstm_layers, self.heads, self.ffn_dim,
+                  self.mixer_hidden, *self.branch_dims)
+        for value in counts:
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ConfigurationError(
+                    f"width and count settings must be integers, got {value!r}"
+                )
         if self.input_features < 1:
             raise ConfigurationError("input_features must be at least 1")
         if self.window_len < 1:
@@ -82,8 +90,7 @@ class ModelSpec:
             raise ConfigurationError(
                 f"dropout must lie in [0, 1), got {self.dropout}"
             )
-        widths = (self.lstm_hidden, self.lstm_layers, self.heads, self.ffn_dim,
-                  self.mixer_hidden, *self.branch_dims)
+        widths = counts[2:]
         if not self.branch_dims or min(widths) < 1:
             raise ConfigurationError(
                 "all width settings must be positive and branch_dims non-empty"
@@ -110,6 +117,7 @@ class Model(Module):
     """
 
     def __init__(self, spec: ModelSpec, rng: SeededRng):
+        _pin_heap_thresholds()
         self.spec = spec
         self._build(spec, rng)
         self.arena()

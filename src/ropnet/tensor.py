@@ -1,7 +1,8 @@
 """Dense tensor primitives and a deterministic, seedable PRNG.
 
 Tensors are plain ``numpy.ndarray`` objects holding 64-bit floats;
-the one kernel here is a numerically stable softmax.
+the one kernel here is a numerically stable softmax.  On glibc,
+``_pin_heap_thresholds`` keeps training's per-step arrays on the heap.
 
 Randomness comes from :class:`SeededRng`, a SplitMix64 counter
 generator.  The algorithm is fixed and documented here rather than
@@ -20,6 +21,9 @@ Uniform doubles take the top 53 bits of the output, giving values in
 
 from __future__ import annotations
 
+import ctypes
+import sys
+
 import numpy as np
 
 from .errors import RangeError
@@ -30,6 +34,38 @@ _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _U53 = np.float64(1.0 / (1 << 53))
+
+# glibc's mallopt parameters (malloc.h) and the values pinned for them
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_MMAP_THRESHOLD = 4 << 20
+_TRIM_THRESHOLD = 32 << 20
+
+
+def _pin_heap_thresholds():
+    """Fix glibc's mmap and trim thresholds for the whole process.
+
+    By default glibc serves each block of at least 128 KiB (raised to
+    the largest block freed so far) from a fresh mmap, and returns the
+    heap top to the kernel once twice that threshold lies free there,
+    so every training step faults its activations in again.  Pinned,
+    the largest per-step training array (a 2 MiB window-16 LSTM input
+    projection) stays on the heap, a whole window-16 flagship step
+    (about 18 MiB) stays mapped below the trim threshold, and predict's
+    8 MiB chunk buffers still go to mmap and back to the kernel.  Up to
+    32 MiB of freed heap stays resident.  Elsewhere this does nothing.
+    """
+    if not sys.platform.startswith("linux"):
+        return
+    libc = ctypes.CDLL(None)
+    # the parameter numbers are glibc's; other C libraries may differ
+    if not hasattr(libc, "gnu_get_libc_version"):
+        return
+    mallopt = libc.mallopt
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
+    mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
 
 
 def softmax_last_axis(x: Tensor) -> Tensor:

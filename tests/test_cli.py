@@ -554,6 +554,9 @@ class TestEval:
             ("ts_mixer", "heads", 3),
             ("ts_mixer", "mixer_hidden", 0),
             ("hybrid_lstm_mixer", "branch_dims", []),
+            ("ts_mixer", "mixer_hidden", 128.5),
+            ("ts_mixer", "input_features", 8.0),
+            ("ts_mixer", "lstm_layers", True),
         ],
     )
     def test_bad_model_spec_in_header_exits_3(

@@ -127,6 +127,17 @@ class TestSpecValidation:
             with pytest.raises(ConfigurationError):
                 ModelSpec(kind=BASELINE_LSTM, input_features=8, **bad)
 
+    def test_widths_must_be_integers(self):
+        for bad in (
+            {"input_features": 8.0},
+            {"mixer_hidden": 128.5},
+            {"lstm_layers": True},
+            {"heads": "4"},
+            {"branch_dims": (128, 64.0)},
+        ):
+            with pytest.raises(ConfigurationError):
+                ModelSpec(**{"kind": BASELINE_LSTM, "input_features": 8, **bad})
+
     def test_dict_round_trip(self):
         spec = small_spec(ADVANCED_HYBRID)
         again = ModelSpec.from_dict(spec.to_dict())

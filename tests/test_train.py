@@ -1,7 +1,11 @@
 """Loss, optimizer, training loop, and checkpoint format."""
 
+import ctypes
 import hashlib
+import os
 import struct
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -44,6 +48,35 @@ from ropnet.train import (
 )
 
 import oracles
+
+
+def _has_glibc_mallopt():
+    if not sys.platform.startswith("linux"):
+        return False
+    libc = ctypes.CDLL(None)
+    return hasattr(libc, "gnu_get_libc_version") and hasattr(libc, "mallopt")
+
+
+# Gate 07's setup: one warm-up epoch, then the minor page faults of a
+# further 2-epoch train_model call.
+_FAULT_PROBE = """
+import resource
+from ropnet.data import SyntheticSpec, generate_synthetic
+from ropnet.models import ADVANCED_HYBRID, ModelSpec, build_model
+from ropnet.preprocess import fit_pipeline
+from ropnet.tensor import SeededRng
+from ropnet.train import TrainConfig, train_model
+
+_, prep = fit_pipeline(generate_synthetic(SyntheticSpec())[0], window_len=4)
+spec = ModelSpec(kind=ADVANCED_HYBRID, input_features=8, window_len=4)
+model = build_model(spec, SeededRng(42))
+train = (prep.train_windows, prep.train_statics, prep.train_y)
+test = (prep.test_windows, prep.test_statics, prep.test_y)
+train_model(model, TrainConfig(epochs=1, seed=42), train, test)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+train_model(model, TrainConfig(epochs=2, seed=42), train, test)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
 
 
 class TestMseLoss:
@@ -338,6 +371,27 @@ class TestTrainModel:
         finally:
             tracemalloc.stop()
         assert peak <= 20 * 2**20, peak / 2**20
+
+    @pytest.mark.skipif(not _has_glibc_mallopt(), reason="needs glibc's mallopt")
+    def test_steps_reuse_the_heap(self):
+        """With glibc's heap thresholds pinned, steps after the first
+        epoch do not fault their activations in again (thousands to
+        tens of thousands of faults per epoch under glibc's defaults).
+        The probe runs in a fresh process, whose heap starts from those
+        defaults."""
+        src = os.path.dirname(os.path.dirname(models.__file__))
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ, PYTHONPATH=src if not path else src + os.pathsep + path)
+        done = subprocess.run(
+            [sys.executable, "-c", _FAULT_PROBE],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        faults_per_epoch = int(done.stdout.split()[-1]) / 2
+        assert faults_per_epoch < 2000, faults_per_epoch
 
     def test_empty_training_set_rejected(self):
         train, test = _toy_problem()
