@@ -16,6 +16,9 @@ gradient buffer (an arena), each Param's arrays becoming views of
 them; ``Model`` packs itself on construction, so its optimizer step,
 ``zero_grad`` and gradient norm each run over a single array.
 
+Layers trust their input shapes: ``Model`` checks them once, where
+input enters, so nothing here re-checks a width.
+
 Shape conventions:
   - batches are leading: [B, F] for flat features, [B, T, F] for
     sequences;
@@ -27,13 +30,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import (
-    ConfigurationError,
-    DegenerateBatchError,
-    DimensionError,
-    RangeError,
-    TapeEmptyError,
-)
+from .errors import DegenerateBatchError, DimensionError, RangeError, TapeEmptyError
 from .tensor import SeededRng, softmax_last_axis
 
 
@@ -235,17 +232,10 @@ class Linear(Module):
     """Affine map on the last axis; accepts [B, in] or [B, T, in]."""
 
     def __init__(self, in_dim, out_dim, rng, name):
-        self.in_dim = in_dim
-        self.out_dim = out_dim
         self.W = Param(f"{name}.W", _uniform_init(rng, (out_dim, in_dim), in_dim))
         self.b = Param(f"{name}.b", np.zeros(out_dim))
 
     def forward(self, x, tape=None):
-        if x.shape[-1] != self.in_dim:
-            raise DimensionError(
-                f"linear layer expects width {self.in_dim}, got input "
-                f"shape {x.shape}"
-            )
         y = x @ self.W.value.T
         y += self.b.value
         if tape is None:
@@ -334,7 +324,6 @@ class LayerNorm(Module):
     eps = 1e-5
 
     def __init__(self, dim, name):
-        self.dim = dim
         self.gain = Param(f"{name}.gain", np.ones(dim))
         self.bias = Param(f"{name}.bias", np.zeros(dim))
 
@@ -394,10 +383,6 @@ class BatchNorm1d(LayerNorm):
         ]
 
     def forward(self, x, tape=None, training=False):
-        if x.ndim != 2 or x.shape[1] != self.dim:
-            raise DimensionError(
-                f"batch norm expects [B, {self.dim}], got {x.shape}"
-            )
         if not training:
             return self._normalize(
                 x, self.running_mean, self.running_var, tape, fixed_stats=True
@@ -442,17 +427,12 @@ class LstmStack(Module):
     GATES = ("i", "f", "o", "g")
 
     def __init__(self, input_size, hidden_size, num_layers, rng):
-        if num_layers < 1 or hidden_size < 1 or input_size < 1:
-            raise ConfigurationError(
-                "lstm needs positive input size, hidden size, and layer count"
-            )
-        self.input_size = input_size
         self.hidden_size = hidden_size
         self.num_layers = num_layers
         H = hidden_size
         self.stacked = []  # per layer: W, U, b
         for layer in range(num_layers):
-            in_dim = self.layer_input_size(layer)
+            in_dim = input_size if layer == 0 else H
             W, U, b = np.empty((4 * H, in_dim)), np.empty((4 * H, H)), np.zeros(4 * H)
             for k in range(len(self.GATES)):
                 rows = slice(k * H, (k + 1) * H)
@@ -475,19 +455,8 @@ class LstmStack(Module):
                 ]
         return out
 
-    def layer_input_size(self, layer):
-        return self.input_size if layer == 0 else self.hidden_size
-
     def layer_forward(self, layer, x, tape=None):
         """Run one layer over a [B, T, D] sequence; returns [B, T, H]."""
-        if x.ndim != 3:
-            raise DimensionError(f"lstm input must be [B, T, D], got {x.shape}")
-        in_dim = self.layer_input_size(layer)
-        if x.shape[2] != in_dim:
-            raise DimensionError(
-                f"lstm layer {layer} expects width {in_dim}, got input "
-                f"shape {x.shape}"
-            )
         B, T, D = x.shape
         H = self.hidden_size
         Wp, Up, bp = self.stacked[3 * layer : 3 * layer + 3]
@@ -558,11 +527,6 @@ class TransformerEncoderBlock(Module):
     """
 
     def __init__(self, model_dim, heads, ffn_dim, rng):
-        if model_dim % heads != 0:
-            raise ConfigurationError(
-                f"model dim {model_dim} not divisible by {heads} heads"
-            )
-        self.model_dim = model_dim
         self.heads = heads
         self.head_dim = model_dim // heads
         self.W_q = Param("encoder.W_q", _uniform_init(rng, (model_dim, model_dim), model_dim))
@@ -621,10 +585,6 @@ class TransformerEncoderBlock(Module):
         return tape.record((x,), y, bwd)
 
     def forward(self, x, tape=None):
-        if x.ndim != 3 or x.shape[2] != self.model_dim:
-            raise DimensionError(
-                f"encoder expects [B, T, {self.model_dim}], got {x.shape}"
-            )
         attn = self._attention(x, tape)
         normed = self.ln1.forward(residual_add(x, attn, tape), tape)
         hidden = relu(self.ffn1.forward(normed, tape), tape)
@@ -642,42 +602,22 @@ class _MixerLayer(Module):
 
 
 class MixerBlock(Module):
-    """Feedforward feature mixer, in two fixed configurations.
+    """Feedforward feature mixer over [B, widths[0]] inputs.
 
-    ``standalone`` is a full regressor: a projection into a latent
-    space followed by four equal-width hidden layers, each linear +
-    batch norm + ReLU, then a single-unit output layer.  ``branch`` is
-    the fusion-model encoder: two ReLU layers narrowing the latent
-    space, no normalization, no output head.
+    Each consecutive pair of ``widths`` is one hidden layer, linear
+    then ReLU.  ``standalone`` makes it a full regressor: batch norm
+    before each ReLU and a single-unit output layer.  Otherwise it is
+    the fusion-model branch encoder, ending at width ``widths[-1]``.
     """
 
-    STANDALONE = "standalone"
-    BRANCH = "branch"
-    STANDALONE_DEPTH = 4
-
-    def __init__(self, variant, input_dim, rng, hidden_dim=128, branch_dims=(128, 64)):
-        if variant not in (self.STANDALONE, self.BRANCH):
-            raise ConfigurationError(f"unknown mixer variant {variant!r}")
-        self.variant = variant
-        self.input_dim = input_dim
-        standalone = variant == self.STANDALONE
-        if standalone:
-            self.output_dim = 1
-            widths = [input_dim, hidden_dim] + [hidden_dim] * self.STANDALONE_DEPTH
-        else:
-            self.output_dim = branch_dims[-1]
-            widths = [input_dim, *branch_dims]
+    def __init__(self, widths, rng, standalone=False):
         self.layers = [
             _MixerLayer(d_in, d_out, rng, f"mixer.h{idx}", standalone)
             for idx, (d_in, d_out) in enumerate(zip(widths, widths[1:]))
         ]
-        self.out = Linear(hidden_dim, 1, rng, "mixer.out") if standalone else None
+        self.out = Linear(widths[-1], 1, rng, "mixer.out") if standalone else None
 
     def forward(self, x, tape=None, training=False):
-        if x.ndim != 2 or x.shape[1] != self.input_dim:
-            raise DimensionError(
-                f"mixer expects [B, {self.input_dim}], got {x.shape}"
-            )
         # applied here rather than in a method of the layer, whose caller
         # would keep each layer's input alive until its ReLU returns
         h = x
@@ -700,14 +640,9 @@ class AttentionPool(Module):
     """
 
     def __init__(self, dim, rng):
-        self.dim = dim
         self.w = Param("attn_pool.w", _uniform_init(rng, (dim,), dim))
 
     def forward(self, y, tape=None):
-        if y.ndim != 3 or y.shape[2] != self.dim:
-            raise DimensionError(
-                f"attention pool expects [B, T, {self.dim}], got {y.shape}"
-            )
         a = softmax_last_axis(y @ self.w.value)
         out = np.einsum("bt,btd->bd", a, y)
         if tape is None:
@@ -732,8 +667,6 @@ class FusionHead(Module):
     """
 
     def __init__(self, temporal_dim, static_dim, rng):
-        self.temporal_dim = temporal_dim
-        self.static_dim = static_dim
         self.out = Linear(temporal_dim + static_dim, 1, rng, "fusion")
 
     def forward(
@@ -746,11 +679,6 @@ class FusionHead(Module):
         rng=None,
         training=False,
     ):
-        if temporal.shape[-1] != self.temporal_dim or static.shape[-1] != self.static_dim:
-            raise DimensionError(
-                f"fusion head expects widths ({self.temporal_dim}, "
-                f"{self.static_dim}), got {temporal.shape} and {static.shape}"
-            )
         joint = concat_features(temporal, static, tape)
         joint = dropout_apply(joint, dropout_rate, rng, training, tape)
         return self.out.forward(joint, tape)

@@ -128,9 +128,8 @@ class Model(Module):
         H = spec.lstm_hidden
         kind = spec.kind
         if kind == TS_MIXER:
-            self.mixer = MixerBlock(
-                MixerBlock.STANDALONE, F, rng, hidden_dim=spec.mixer_hidden
-            )
+            # a projection into the latent width, then four hidden layers
+            self.mixer = MixerBlock([F] + [spec.mixer_hidden] * 5, rng, standalone=True)
             return
         self.lstm = LstmStack(F, H, spec.lstm_layers, rng)
         if kind == BASELINE_LSTM:
@@ -140,8 +139,8 @@ class Model(Module):
             self.encoder = TransformerEncoderBlock(H, spec.heads, spec.ffn_dim, rng)
         if kind in (HYBRID_LSTM_MIXER_ATTENTION, ADVANCED_HYBRID):
             self.pool = AttentionPool(H, rng)
-        self.mixer = MixerBlock(MixerBlock.BRANCH, F, rng, branch_dims=spec.branch_dims)
-        self.fusion = FusionHead(H, self.mixer.output_dim, rng)
+        self.mixer = MixerBlock([F, *spec.branch_dims], rng)
+        self.fusion = FusionHead(H, spec.branch_dims[-1], rng)
 
     def state_arrays(self):
         """Every persistent array, parameters first, in stable order."""
@@ -207,6 +206,7 @@ class Model(Module):
 
     def predict(self, windows, statics, batch_size=256):
         """Inference in chunks of at most PREDICT_CHUNK rows; flat [N]."""
+        self._check_inputs(windows, statics)
         n = windows.shape[0]
         chunk = min(batch_size, self.PREDICT_CHUNK)
         out = np.empty(n)

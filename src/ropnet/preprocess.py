@@ -220,6 +220,11 @@ class PreprocessorState:
                 f"version does not compute"
             )
         state = cls(**d)
+        L = state.window_len
+        if isinstance(L, bool) or not isinstance(L, int) or L < 1:
+            raise CorruptCheckpointError(
+                f"preprocessor window_len must be a positive integer, got {L!r}"
+            )
         n_src, n_feat = len(state.source_names), len(state.feature_names)
         counts = (len(state.fill_values), len(state.feat_mean), len(state.feat_std))
         if counts != (n_src, n_feat, n_feat):

@@ -291,6 +291,15 @@ def load_checkpoint(path) -> tuple[Model, PreprocessorState | None]:
             raise CorruptCheckpointError(
                 f"unreadable checkpoint header: {exc}"
             ) from exc
+        if preprocessor is not None:
+            prepared = (preprocessor.window_len, len(preprocessor.feature_names))
+            expected = (spec.window_len, spec.input_features)
+            if prepared != expected:
+                raise CorruptCheckpointError(
+                    f"preprocessor makes windows of {prepared[0]} rows and "
+                    f"{prepared[1]} features; the model expects {expected[0]} "
+                    f"rows and {expected[1]} features"
+                )
 
         model = build_model(spec, SeededRng(0))
         arrays = dict(model.state_arrays())

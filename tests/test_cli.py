@@ -545,6 +545,31 @@ class TestEval:
         assert "feature names do not match" in capsys.readouterr().err
         assert not out.exists()
 
+    # the fixture's model and preprocessor both window 2 rows, so 2.0
+    # passes the comparison and must fail on its type
+    @pytest.mark.parametrize("window_len", [0, -1, 1.0, 2.0, True, 1, 3, 8])
+    def test_bad_preprocessor_window_len_exits_3(
+        self, pipeline, tmp_path, capsys, window_len
+    ):
+        ckpt = rewrite_header(
+            pipeline["ckpt"], tmp_path / "window.roph", window_len=window_len
+        )
+        out = tmp_path / "out"
+        argv = ["eval", "--checkpoint", str(ckpt), "--data", str(pipeline["csv"])]
+        assert main(argv + ["--out", str(out)]) == 3
+        assert "window" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_preprocessor_feature_count_must_match_model(self, pipeline, tmp_path, capsys):
+        ckpt = rewrite_header(
+            pipeline["ckpt"], tmp_path / "narrow.roph", "model_spec", input_features=7
+        )
+        out = tmp_path / "out"
+        argv = ["eval", "--checkpoint", str(ckpt), "--data", str(pipeline["csv"])]
+        assert main(argv + ["--out", str(out)]) == 3
+        assert "8 features; the model expects 2 rows and 7" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "kind, key, value",
         [

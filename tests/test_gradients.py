@@ -127,13 +127,13 @@ def build_attention_pool(rng):
 
 
 def build_mixer_standalone(rng):
-    mixer = MixerBlock(MixerBlock.STANDALONE, 5, rng, hidden_dim=6)
+    mixer = MixerBlock([5] + [6] * 5, rng, standalone=True)
     x = rng.normal((6, 5))
     return mixer.params(), [x], lambda tape: mixer.forward(x, tape, training=True)
 
 
 def build_mixer_branch(rng):
-    mixer = MixerBlock(MixerBlock.BRANCH, 5, rng, branch_dims=(6, 4))
+    mixer = MixerBlock([5, 6, 4], rng)
     x = rng.normal((3, 5))
     return mixer.params(), [x], lambda tape: mixer.forward(x, tape)
 

@@ -200,16 +200,31 @@ class TestForward:
         assert not np.array_equal(eval_out, train_out)
 
     def test_shape_validation(self):
-        spec = small_spec(HYBRID_LSTM_MIXER)
-        model = build_model(spec, SeededRng(1))
-        window, static = small_inputs(spec)
-        with pytest.raises(DimensionError):
-            model.forward(window[:, :2, :], static)
-        with pytest.raises(DimensionError):
-            model.forward(window, static[:, :3])
-        with pytest.raises(DimensionError):
-            model.forward(window, static[:3])
-
+        # the layers trust their input, so every bad shape must stop here
+        for kind in MODEL_KINDS:
+            model = build_model(small_spec(kind), SeededRng(1))
+            window, static = small_inputs(model.spec)
+            bad_pairs = [
+                (window[:, :2, :], static),
+                (window[:, :, :3], static),
+                (window[:, 0, :], static),
+                (window, static[:, :3]),
+                (window, static[:3]),
+                (window, static[:, None, :]),
+            ]
+            for bad_window, bad_static in bad_pairs:
+                with pytest.raises(DimensionError):
+                    model.forward(bad_window, bad_static)
+                with pytest.raises(DimensionError):
+                    model.predict(bad_window, bad_static)
+            # row counts that differ are caught before chunking, whatever
+            # the chunk size
+            windows, statics = small_inputs(model.spec, batch=12)
+            for batch_size in (3, 256):
+                with pytest.raises(DimensionError):
+                    model.predict(windows[:10], statics, batch_size=batch_size)
+                with pytest.raises(DimensionError):
+                    model.predict(windows, statics[:10], batch_size=batch_size)
 
 class TestPredict:
     def test_batched_prediction_matches_single_pass(self):
