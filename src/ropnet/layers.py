@@ -60,48 +60,16 @@ class Param:
         self.grad = np.zeros_like(self.value) if grad is None else grad
 
 
-def offsets(arrays, flat):
-    """Element offset of each array's first entry inside ``flat``."""
-    origin = flat.__array_interface__["data"][0]
-    return [
-        (a.__array_interface__["data"][0] - origin) // flat.itemsize for a in arrays
-    ]
-
-
-def _tiled(arrays):
-    """The stretch of one flat buffer that ``arrays`` cover without gap
-    or overlap, in any order; None if they do not."""
-    base = arrays[0].base
-    if base is None or base.ndim != 1:
-        return None
-    if any(a.base is not base or not a.flags.c_contiguous for a in arrays):
-        return None
-    spans = sorted(zip(offsets(arrays, base), (a.size for a in arrays)))
-    lo = end = spans[0][0]
-    for start, size in spans:
-        if start != end:
-            return None
-        end += size
-    return base[lo:end]
-
-
 def pack(params):
     """Flat (values, grads) buffers that every Param's arrays view.
 
-    Params whose values and gradients already tile a stretch of one
-    buffer each, at matching offsets, keep them; a sub-module of a
-    packed model gets its slice of the model's arena.  Otherwise the
-    arrays are copied, in list order, into two fresh buffers and each
-    Param is rebound to views of them.
+    The arrays are copied, in list order, into two fresh buffers and
+    each Param is rebound to views of them.  A ``Model`` packs itself
+    when it is built, and its layers are never packed again: to step a
+    model, take ``model.arena()``.
     """
-    vals = [p.value for p in params]
-    grads = [p.grad for p in params]
-    flat_v, flat_g = _tiled(vals), _tiled(grads)
-    if flat_v is not None and flat_g is not None:
-        if offsets(vals, flat_v) == offsets(grads, flat_g):
-            return flat_v, flat_g
-    flat_v = np.concatenate([v.reshape(-1) for v in vals])
-    flat_g = np.concatenate([g.reshape(-1) for g in grads])
+    flat_v = np.concatenate([p.value.reshape(-1) for p in params])
+    flat_g = np.concatenate([p.grad.reshape(-1) for p in params])
     start = 0
     for p in params:
         stop = start + p.value.size
@@ -214,7 +182,9 @@ class Module:
 
     def arena(self):
         """Flat (values, grads) buffers viewed by every Param; packs the
-        module's storage on first call."""
+        module's storage on first call.  A ``Model`` calls it when built,
+        so its layers' Params are views of the model's arena and must
+        not be packed again."""
         if self._arena is None:
             self._arena = pack(self.storage())
         return self._arena

@@ -24,7 +24,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .errors import ConfigurationError, DimensionError
+from .errors import ConfigurationError, DimensionError, RangeError
 from .layers import (
     AttentionPool,
     FusionHead,
@@ -206,6 +206,8 @@ class Model(Module):
 
     def predict(self, windows, statics, batch_size=256):
         """Inference in chunks of at most PREDICT_CHUNK rows; flat [N]."""
+        if batch_size < 1:
+            raise RangeError(f"batch_size must be at least 1, got {batch_size}")
         self._check_inputs(windows, statics)
         n = windows.shape[0]
         chunk = min(batch_size, self.PREDICT_CHUNK)

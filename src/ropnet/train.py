@@ -38,7 +38,7 @@ from .errors import (
     EmptyBatchError,
     IncompatibleCheckpointError,
 )
-from .layers import GradTape, offsets, pack
+from .layers import GradTape
 from .models import Model, ModelSpec, build_model
 from .preprocess import PreprocessorState
 from .tensor import SeededRng
@@ -93,34 +93,23 @@ def mse_loss(pred: np.ndarray, target: np.ndarray):
 
 
 class AdamWState:
-    """Step count and moment estimates over the params' flat arena.
+    """Step count and moment estimates over a flat (values, grads) arena.
 
-    ``pack`` gives the params' values and gradients as two flat buffers
-    (a packed model's arena is used as it is); the moments and the
-    update's scratch are flat buffers of the same length, and ``m`` and
-    ``v`` list each param's view of the moments.
+    Training passes ``model.arena()``; a standalone list of Params gets
+    one from ``pack``.  The moments and the update's scratch are flat
+    buffers of the same length.
     """
 
-    def __init__(self, params):
+    def __init__(self, values, grads):
         self.t = 0
-        self.values, self.grads = pack(params)
-        self.flat_m = np.zeros_like(self.values)
-        self.flat_v = np.zeros_like(self.values)
-        self.scratch = np.empty_like(self.values), np.empty_like(self.values)
-        starts = offsets([p.value for p in params], self.values)
-
-        def views(flat):
-            return [
-                flat[a : a + p.value.size].reshape(p.value.shape)
-                for a, p in zip(starts, params)
-            ]
-
-        self.m, self.v = views(self.flat_m), views(self.flat_v)
+        self.values, self.grads = values, grads
+        self.m = np.zeros_like(values)
+        self.v = np.zeros_like(values)
+        self.scratch = np.empty_like(values), np.empty_like(values)
 
 
-def adamw_step(params, state: AdamWState, cfg: TrainConfig):
-    """One update of ``params`` (the list ``state`` was built from) from
-    their accumulated gradients.
+def adamw_step(state: AdamWState, cfg: TrainConfig):
+    """One update of ``state``'s values from their accumulated gradients.
 
     In-place ufuncs over the flat buffers, in the textbook operation
     order, so each entry gets the same bits as the per-array form.
@@ -128,7 +117,7 @@ def adamw_step(params, state: AdamWState, cfg: TrainConfig):
     state.t += 1
     bc1 = 1.0 - cfg.beta1**state.t
     bc2 = 1.0 - cfg.beta2**state.t
-    x, g, m, v = state.values, state.grads, state.flat_m, state.flat_v
+    x, g, m, v = state.values, state.grads, state.m, state.v
     s, step = state.scratch
     # m = beta1 * m + (1 - beta1) * g
     m *= cfg.beta1
@@ -204,8 +193,7 @@ def train_model(model: Model, cfg: TrainConfig, train_data, test_data) -> LossCu
         raise EmptyBatchError("training set is empty")
     n = train_w.shape[0]
     rng = SeededRng(cfg.seed)
-    params = model.params()
-    opt = AdamWState(params)
+    opt = AdamWState(*model.arena())
     grads = opt.grads
     curve = LossCurve()
     for epoch in range(1, cfg.epochs + 1):
@@ -228,7 +216,7 @@ def train_model(model: Model, cfg: TrainConfig, train_data, test_data) -> LossCu
                 raise DivergenceError(
                     f"gradient norm became {norm} at epoch {epoch}, batch {batch_no}"
                 )
-            adamw_step(params, opt, cfg)
+            adamw_step(opt, cfg)
             sq_sum += loss * idx.size
         test_mse = evaluate_mse(model, test_w, test_s, test_y)
         curve.rows.append((epoch, sq_sum / n, test_mse))

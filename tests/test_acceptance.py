@@ -14,6 +14,7 @@ import oracles
 from conftest import train_kind
 from ropnet.cli import main as cli_main
 from ropnet.errors import IncompatibleCheckpointError
+from ropnet.layers import pack
 from ropnet.metrics import compute_metrics
 from ropnet.models import ADVANCED_HYBRID, HYBRID_LSTM_MIXER, TS_MIXER, ModelSpec, build_model
 from ropnet.preprocess import (
@@ -126,16 +127,16 @@ def test_04_adamw_decay_is_decoupled(capsys):
 
     params = [_P(rng.normal((4, 3))), _P(rng.normal(6))]
     initial = [p.value.copy() for p in params]
-    state = AdamWState(params)
+    state = AdamWState(*pack(params))
     for _ in range(1000):
-        adamw_step(params, state, cfg)
+        adamw_step(state, cfg)
     shrink = (1.0 - cfg.learning_rate * cfg.weight_decay) ** 1000
     gap = max(
         float(np.max(np.abs(p.value - first * shrink)))
         for p, first in zip(params, initial)
     )
     moments = max(
-        float(np.max(np.abs(m))) for m in state.m + state.v
+        float(np.max(np.abs(m))) for m in (state.m, state.v)
     )
     ok = gap < 1e-12 and moments == 0.0
     announce(

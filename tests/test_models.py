@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ropnet.errors import ConfigurationError, DimensionError
+from ropnet.errors import ConfigurationError, DimensionError, RangeError
 from ropnet.layers import GradTape
 from ropnet.models import (
     ADVANCED_HYBRID,
@@ -274,6 +274,20 @@ class TestPredict:
                 tracemalloc.stop()
         assert peaks[4096] <= 1.5 * peaks[256], peaks
 
+    @pytest.mark.parametrize("batch_size", [-1, 0])
+    def test_batch_size_below_one_raises(self, batch_size, monkeypatch):
+        """A batch size below 1 is refused before any chunk runs, not
+        answered with unwritten memory (-1) or a bare ``range`` error (0)."""
+        model = build_model(small_spec(TS_MIXER), SeededRng(15))
+        windows, statics = small_inputs(model.spec, batch=5)
+
+        def no_forward(*args, **kwargs):
+            raise AssertionError("forward ran on a refused batch size")
+
+        monkeypatch.setattr(model, "forward", no_forward)
+        with pytest.raises(RangeError, match="batch_size"):
+            model.predict(windows, statics, batch_size=batch_size)
+
 
 class TestArena:
     @pytest.mark.parametrize("kind", MODEL_KINDS)
@@ -305,13 +319,6 @@ class TestArena:
                 assert np.shares_memory(p.value, stacked.value)
                 assert np.shares_memory(p.grad, stacked.grad)
                 np.testing.assert_array_equal(p.value, stacked.value[k * H : (k + 1) * H])
-
-    def test_sub_module_arena_is_a_slice_of_the_models(self):
-        model = build_model(small_spec(ADVANCED_HYBRID), SeededRng(0))
-        values, grads = model.arena()
-        sub_values, sub_grads = model.encoder.arena()
-        assert np.shares_memory(sub_values, values) and np.shares_memory(sub_grads, grads)
-        assert sub_values.size == sum(p.value.size for p in model.encoder.params())
 
 
 class TestStateArrays:

@@ -13,6 +13,7 @@ import pytest
 
 from ropnet.errors import (
     ConfigurationError,
+    CheckpointError,
     CorruptCheckpointError,
     DimensionError,
     DivergenceError,
@@ -20,12 +21,13 @@ from ropnet.errors import (
     IncompatibleCheckpointError,
 )
 from ropnet import models, train as train_mod
-from ropnet.layers import GradTape, Linear, Param
+from ropnet.layers import GradTape, Linear, Param, pack
 from ropnet.models import (
     ADVANCED_HYBRID,
     BASELINE_LSTM,
     HYBRID_LSTM_MIXER,
     HYBRID_LSTM_MIXER_ATTENTION,
+    MODEL_KINDS,
     TS_MIXER,
     ModelSpec,
     build_model,
@@ -131,7 +133,7 @@ class TestAdamW:
         rng = SeededRng(5)
         params = self._params(rng)
         cfg = TrainConfig(learning_rate=0.01, weight_decay=0.004)
-        state = AdamWState(params)
+        state = AdamWState(*pack(params))
         vals = [p.value.reshape(-1).tolist() for p in params]
         ms = [[0.0] * 4 for _ in params]
         vs = [[0.0] * 4 for _ in params]
@@ -139,7 +141,7 @@ class TestAdamW:
             grads = [rng.normal((2, 2)) for _ in params]
             for p, g in zip(params, grads):
                 p.grad[...] = g
-            adamw_step(params, state, cfg)
+            adamw_step(state, cfg)
             for i, g in enumerate(grads):
                 vals[i], ms[i], vs[i] = oracles.adamw_step_loop(
                     vals[i],
@@ -160,11 +162,11 @@ class TestAdamW:
         start = np.array([[2.0, -3.0], [0.5, 1.0]])
         p = Param("p", start.copy())
         cfg = TrainConfig()  # lr 0.001, wd 1e-5
-        state = AdamWState([p])
+        state = AdamWState(*pack([p]))
         steps = 1000
         for _ in range(steps):
             p.grad[...] = 0.0
-            adamw_step([p], state, cfg)
+            adamw_step(state, cfg)
         factor = (1.0 - 0.001 * 1e-5) ** steps
         np.testing.assert_allclose(p.value, start * factor, rtol=0, atol=1e-12)
 
@@ -172,41 +174,41 @@ class TestAdamW:
         """L2-in-gradient would move a zero-gradient parameter through
         the moment estimates; decoupled decay must keep m and v zero."""
         p = Param("p", np.ones((2, 2)))
-        state = AdamWState([p])
+        state = AdamWState(*pack([p]))
         cfg = TrainConfig(learning_rate=0.1, weight_decay=0.5)
         p.grad[...] = 0.0
-        adamw_step([p], state, cfg)
-        np.testing.assert_array_equal(state.m[0], np.zeros((2, 2)))
-        np.testing.assert_array_equal(state.v[0], np.zeros((2, 2)))
+        adamw_step(state, cfg)
+        np.testing.assert_array_equal(state.m, np.zeros(4))
+        np.testing.assert_array_equal(state.v, np.zeros(4))
 
     def test_flagship_steps_match_reference(self):
         """The flat-arena update agrees with the textbook loop on every
-        entry of the flagship, read through its Params."""
+        entry of the flagship, read through its Params in arena order."""
         spec = ModelSpec(kind=ADVANCED_HYBRID, input_features=8, window_len=4)
         model = build_model(spec, SeededRng(2))
-        params = model.params()
+        storage = model.storage()
         cfg = TrainConfig(learning_rate=0.01, weight_decay=0.004)
-        state = AdamWState(params)
+        state = AdamWState(*model.arena())
         rng = SeededRng(3)
 
         def flat(arrays):
             return np.concatenate([a.reshape(-1) for a in arrays]).tolist()
 
-        vals = flat(p.value for p in params)
+        vals = flat(p.value for p in storage)
         ms = vs = [0.0] * len(vals)
         for t in range(1, 4):
             tape = GradTape()
             model.zero_grad()
             out = model.forward(rng.normal((16, 4, 8)), rng.normal((16, 8)), tape)
             tape.backward(rng.normal(out.shape))
-            grads = flat(p.grad for p in params)
-            adamw_step(params, state, cfg)
+            grads = flat(p.grad for p in storage)
+            adamw_step(state, cfg)
             vals, ms, vs = oracles.adamw_step_loop(
                 vals, grads, ms, vs, t, lr=0.01, wd=0.004
             )
-        np.testing.assert_allclose(flat(p.value for p in params), vals, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(flat(state.m), ms, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(flat(state.v), vs, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(flat(p.value for p in storage), vals, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(state.m, ms, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(state.v, vs, rtol=0, atol=1e-12)
 
 
 class TestBatchSlices:
@@ -281,6 +283,20 @@ class TestTrainModel:
             np.testing.assert_array_equal(pa.value, pb.value)
         assert runs[0][1].rows == runs[1][1].rows
 
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_training_updates_every_param_in_the_arena(self, kind):
+        """The optimizer steps the model's own arena: after one epoch
+        every Param has moved and still views that arena, so no Param
+        was left behind on a copy of it."""
+        train, test = _toy_problem()
+        model = build_model(_small_spec(kind), SeededRng(3))
+        before = {p.name: p.value.copy() for p in model.params()}
+        train_model(model, TrainConfig(epochs=1, batch_size=16), train, test)
+        values = model.arena()[0]
+        for p in model.params():
+            assert np.shares_memory(p.value, values), p.name
+            assert not np.array_equal(p.value, before[p.name]), p.name
+
     def test_seed_changes_trajectory(self):
         train, test = _toy_problem()
         finals = []
@@ -351,8 +367,7 @@ class TestTrainModel:
         spec = ModelSpec(kind=ADVANCED_HYBRID, input_features=8, window_len=16)
         model = build_model(spec, SeededRng(0))
         rng = SeededRng(1)
-        params = model.params()
-        state = AdamWState(params)
+        state = AdamWState(*model.arena())
         window, static = rng.normal((64, 16, 8)), rng.normal((64, 8))
         y = rng.normal((64, 1))
 
@@ -361,7 +376,7 @@ class TestTrainModel:
             model.zero_grad()
             pred = model.forward(window, static, tape, training=True, rng=rng)
             tape.backward(mse_loss(pred, y)[1])
-            adamw_step(params, state, TrainConfig())
+            adamw_step(state, TrainConfig())
 
         step()
         tracemalloc.start()
@@ -511,6 +526,18 @@ class TestCheckpoints:
         path.write_bytes(raw[: len(raw) - 7])
         with pytest.raises(CorruptCheckpointError):
             load_checkpoint(path)
+
+    def test_every_proper_prefix_rejected(self, tmp_path):
+        """Truncation at any byte, not only at sampled ones, raises."""
+        spec = ModelSpec(kind=BASELINE_LSTM, input_features=3, lstm_hidden=4, lstm_layers=1)
+        path = tmp_path / "small.roph"
+        save_checkpoint(path, build_model(spec, SeededRng(0)))
+        raw = path.read_bytes()  # 1,744 bytes
+        cut = tmp_path / "cut.roph"
+        for n in range(len(raw)):
+            cut.write_bytes(raw[:n])
+            with pytest.raises(CheckpointError):
+                load_checkpoint(cut)
 
     def test_header_truncation_rejected(self, tmp_path):
         _, path = self._trained(tmp_path)
