@@ -7,7 +7,8 @@ and every command is deterministic: rerunning with the same inputs
 and seed rewrites identical bytes.
 
 Exit codes: 0 success, 2 configuration problem, 3 data or checkpoint
-problem, 4 numeric divergence during training.
+problem, 4 numeric divergence during training; each error type carries
+its own as ``exit_code``.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from .errors import (
     ConfigurationError,
     DataError,
     DivergenceError,
-    RangeError,
     RopnetError,
 )
 from .explain import permutation_importance
@@ -397,15 +397,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigurationError, RangeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except DivergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
     except (RopnetError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return getattr(exc, "exit_code", 3)
 
 
 if __name__ == "__main__":

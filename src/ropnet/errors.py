@@ -1,12 +1,15 @@
 """Exception hierarchy shared across the library.
 
-The CLI maps these onto process exit codes: configuration problems exit
-with 2, data problems with 3, numeric divergence with 4.
+Each type carries the CLI's process exit code as ``exit_code``:
+configuration problems exit with 2, data problems with 3, numeric
+divergence with 4.
 """
 
 
 class RopnetError(Exception):
     """Base class for every error raised by this package."""
+
+    exit_code = 3
 
 
 class DimensionError(RopnetError):
@@ -16,9 +19,13 @@ class DimensionError(RopnetError):
 class RangeError(RopnetError):
     """A scalar argument lies outside its valid range."""
 
+    exit_code = 2
+
 
 class ConfigurationError(RopnetError):
     """A model spec, run config, or synthetic-data spec is invalid."""
+
+    exit_code = 2
 
 
 class DataError(RopnetError):
@@ -72,6 +79,8 @@ class TapeEmptyError(RopnetError):
 
 class DivergenceError(RopnetError):
     """Training produced a non-finite loss or gradient norm."""
+
+    exit_code = 4
 
 
 class CheckpointError(RopnetError):

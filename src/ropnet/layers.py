@@ -30,7 +30,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DegenerateBatchError, DimensionError, RangeError, TapeEmptyError
+from .errors import (
+    DegenerateBatchError,
+    DimensionError,
+    RangeError,
+    RopnetError,
+    TapeEmptyError,
+)
 from .tensor import SeededRng, softmax_last_axis
 
 
@@ -181,12 +187,13 @@ class Module:
         ]
 
     def arena(self):
-        """Flat (values, grads) buffers viewed by every Param; packs the
-        module's storage on first call.  A ``Model`` calls it when built,
-        so its layers' Params are views of the model's arena and must
-        not be packed again."""
+        """Flat (values, grads) buffers viewed by every Param.  Only a
+        built ``Model`` owns one; its layers' Params are views of it."""
         if self._arena is None:
-            self._arena = pack(self.storage())
+            raise RopnetError(
+                f"{type(self).__name__} owns no arena: only a built Model "
+                "does; use pack(params) for standalone Params"
+            )
         return self._arena
 
     def zero_grad(self):

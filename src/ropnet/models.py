@@ -35,6 +35,7 @@ from .layers import (
     TransformerEncoderBlock,
     dropout_apply,
     last_step,
+    pack,
 )
 from .tensor import SeededRng, _pin_heap_thresholds
 
@@ -113,14 +114,15 @@ class Model(Module):
     """A built architecture: owns layers, exposes forward and predict.
 
     Once built, every Param's value and gradient are views of the
-    model's flat arena (``arena()``), in ``storage()`` order.
+    model's flat arena (``arena()``), in ``storage()`` order.  The model
+    is the arena's only owner: its sub-modules have none of their own.
     """
 
     def __init__(self, spec: ModelSpec, rng: SeededRng):
         _pin_heap_thresholds()
         self.spec = spec
         self._build(spec, rng)
-        self.arena()
+        self._arena = pack(self.storage())
 
     def _build(self, spec, rng):
         # layers are assigned in checkpoint record order
@@ -204,7 +206,7 @@ class Model(Module):
     # temporaries off the fresh mmaps that batch-sized ones fault in.
     PREDICT_CHUNK = 256
 
-    def predict(self, windows, statics, batch_size=256):
+    def predict(self, windows, statics, batch_size=PREDICT_CHUNK):
         """Inference in chunks of at most PREDICT_CHUNK rows; flat [N]."""
         if batch_size < 1:
             raise RangeError(f"batch_size must be at least 1, got {batch_size}")
@@ -223,8 +225,3 @@ class Model(Module):
 def build_model(spec: ModelSpec, rng: SeededRng) -> Model:
     """Construct a model with fresh parameters drawn from ``rng``."""
     return Model(spec, rng)
-
-
-def parameter_count(model: Model) -> int:
-    """Total trainable scalar count (persistent buffers excluded)."""
-    return model.arena()[0].size

@@ -163,9 +163,8 @@ def make_windows(features: np.ndarray, target, window_len: int):
     """Overlapping windows of consecutive rows.
 
     Window m covers rows [m, m + L); its static vector and target come
-    from the final row, so N rows give N - L + 1 aligned samples.  The
-    windows are one contiguous array; statics and targets are views
-    into the inputs.
+    from the final row, so N rows give N - L + 1 aligned samples.  All
+    three are views into the inputs; the windows are read-only.
     """
     n = features.shape[0]
     if window_len < 1:
@@ -174,14 +173,13 @@ def make_windows(features: np.ndarray, target, window_len: int):
         raise WindowError(
             f"need at least {window_len} rows to build one window, got {n}"
         )
-    # The window axis comes last: [M, F, L] -> [M, L, F].  The windows
-    # are copied on purpose: freeing this large array raises glibc's
-    # heap-trim threshold; with a view, each training step re-faults the
-    # heap pages the previous step gave back.
-    view = sliding_window_view(features, window_len, axis=0).transpose(0, 2, 1)
+    # The window axis comes last: [M, F, L] -> [M, L, F].  Windows
+    # overlap, so nothing may write into them; indexing them with an
+    # index array (fit_pipeline's split) copies.
+    windows = sliding_window_view(features, window_len, axis=0).transpose(0, 2, 1)
     statics = features[window_len - 1 :]
     y = None if target is None else target[window_len - 1 :]
-    return np.ascontiguousarray(view), statics, y
+    return windows, statics, y
 
 
 @dataclass

@@ -28,8 +28,6 @@ import numpy as np
 
 from .errors import RangeError
 
-Tensor = np.ndarray
-
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
@@ -68,7 +66,7 @@ def _pin_heap_thresholds():
     mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
 
 
-def softmax_last_axis(x: Tensor) -> Tensor:
+def softmax_last_axis(x: np.ndarray) -> np.ndarray:
     """Softmax along the last axis, stabilized by max subtraction.
 
     Every slice of the output is nonnegative and sums to 1; inputs of
@@ -102,8 +100,8 @@ class SeededRng:
             z = (z ^ (z >> np.uint64(27))) * _MIX2
             return z ^ (z >> np.uint64(31))
 
-    def uniform(self, shape, lo: float = 0.0, hi: float = 1.0) -> Tensor:
-        """Tensor of i.i.d. draws from [lo, hi)."""
+    def uniform(self, shape, lo: float = 0.0, hi: float = 1.0) -> np.ndarray:
+        """Array of i.i.d. draws from [lo, hi)."""
         if not lo < hi:
             raise RangeError(f"uniform needs lo < hi, got lo={lo}, hi={hi}")
         if np.isscalar(shape):
@@ -113,7 +111,7 @@ class SeededRng:
         u01 = (bits >> np.uint64(11)).astype(np.float64) * _U53
         return (lo + (hi - lo) * u01).reshape(shape)
 
-    def normal(self, shape) -> Tensor:
+    def normal(self, shape) -> np.ndarray:
         """Standard normal draws via Box-Muller on the uniform stream."""
         if np.isscalar(shape):
             shape = (int(shape),)

@@ -5,8 +5,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ropnet.errors import ConfigurationError, DimensionError, RangeError
-from ropnet.layers import GradTape
+from ropnet.data import SyntheticSpec, generate_synthetic
+from ropnet.errors import ConfigurationError, DimensionError, RangeError, RopnetError
+from ropnet.layers import GradTape, Linear
 from ropnet.models import (
     ADVANCED_HYBRID,
     BASELINE_LSTM,
@@ -16,8 +17,8 @@ from ropnet.models import (
     TS_MIXER,
     ModelSpec,
     build_model,
-    parameter_count,
 )
+from ropnet.preprocess import fit_pipeline, transform
 from ropnet.tensor import SeededRng
 
 
@@ -80,14 +81,14 @@ class TestParameterCounts:
     def test_default_dims_match_formula(self, kind):
         spec = ModelSpec(kind=kind, input_features=8, window_len=4)
         model = build_model(spec, SeededRng(0))
-        assert parameter_count(model) == expected_count(kind)
+        assert model.arena()[0].size == expected_count(kind)
 
     def test_published_totals_at_default_dims(self):
         """Spot values implied by the layer dimension tables."""
         totals = {
-            kind: parameter_count(
-                build_model(ModelSpec(kind=kind, input_features=8), SeededRng(0))
-            )
+            kind: build_model(
+                ModelSpec(kind=kind, input_features=8), SeededRng(0)
+            ).arena()[0].size
             for kind in MODEL_KINDS
         }
         assert totals[BASELINE_LSTM] == 51_777
@@ -101,7 +102,7 @@ class TestParameterCounts:
         model = build_model(spec, SeededRng(0))
         n_buffer_entries = sum(arr.size for _, arr in model.buffers())
         assert n_buffer_entries == 2 * 128 * 5
-        assert parameter_count(model) == 68_609
+        assert model.arena()[0].size == 68_609
 
 
 class TestSpecValidation:
@@ -320,6 +321,22 @@ class TestArena:
                 assert np.shares_memory(p.grad, stacked.grad)
                 np.testing.assert_array_equal(p.value, stacked.value[k * H : (k + 1) * H])
 
+    def test_sub_module_cannot_detach_the_models_params(self):
+        """Only the Model owns an arena: zeroing a sub-module's gradients
+        raises instead of packing its Params into buffers of their own."""
+        model = build_model(ModelSpec(kind=ADVANCED_HYBRID, input_features=8), SeededRng(0))
+        with pytest.raises(RopnetError, match="pack"):
+            model.encoder.zero_grad()
+        values = model.arena()[0]
+        params = model.params()
+        assert len(params) == 43
+        for p in params:
+            assert np.shares_memory(p.value, values), p.name
+
+    def test_standalone_layer_has_no_arena(self):
+        with pytest.raises(RopnetError, match="pack"):
+            Linear(3, 2, SeededRng(0), "lin").arena()
+
 
 class TestStateArrays:
     @pytest.mark.parametrize("kind", MODEL_KINDS)
@@ -342,3 +359,22 @@ class TestStateArrays:
         tape.backward(np.ones_like(out))
         for p in model.params():
             assert np.any(p.grad != 0.0), f"no gradient reached {p.name}"
+
+
+class TestPredictOnWindowViews:
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_view_predicts_exactly_as_a_contiguous_copy(self, kind):
+        """``transform`` hands out read-only overlapping views; predicting
+        through them matches a contiguous copy bit for bit."""
+        dataset, _ = generate_synthetic(SyntheticSpec(n_rows=600, seed=4))
+        state, _ = fit_pipeline(dataset, window_len=4)
+        windows, statics, _ = transform(dataset, state)
+        assert not windows.flags.c_contiguous
+        copy = np.ascontiguousarray(windows)
+        spec = ModelSpec(kind=kind, input_features=windows.shape[2], window_len=4)
+        model = build_model(spec, SeededRng(8))
+        for batch_size in (1, 256):
+            np.testing.assert_array_equal(
+                model.predict(windows, statics, batch_size=batch_size),
+                model.predict(copy, statics, batch_size=batch_size),
+            )

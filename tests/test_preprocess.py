@@ -232,8 +232,8 @@ class TestMakeWindows:
         windows, statics, targets = make_windows(feats, y, 4)
         assert np.shares_memory(statics, feats)
         assert np.shares_memory(targets, y)
-        assert windows.flags.c_contiguous
-        assert not np.shares_memory(windows, feats)
+        assert np.shares_memory(windows, feats)
+        assert not windows.flags.writeable
 
 
 def _synthetic(n_rows=200, seed=3):
