@@ -476,7 +476,8 @@ class LstmStack(Module):
                 da_t[:, 2 * H : 3 * H] = dh * tanh_c * o * (1.0 - o)
                 da_t[:, 3 * H :] = dc * i * (1.0 - g * g)
                 dc_next = dc * f
-                dh_next = da_t @ U
+                if t:  # the first step has no earlier h to send dh to
+                    dh_next = da_t @ U
             da2 = da.reshape(B * T, 4 * H)
             h_prev = np.zeros_like(hs)
             h_prev[:, 1:] = hs[:, :-1]

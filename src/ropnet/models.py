@@ -20,6 +20,9 @@ target [B, 1].  The five kinds:
 
 from __future__ import annotations
 
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -37,7 +40,7 @@ from .layers import (
     last_step,
     pack,
 )
-from .tensor import SeededRng, _pin_heap_thresholds
+from .tensor import SeededRng, _pin_heap_thresholds, one_blas_thread, openblas_threads
 
 BASELINE_LSTM = "baseline_lstm"
 TS_MIXER = "ts_mixer"
@@ -52,6 +55,30 @@ MODEL_KINDS = (
     HYBRID_LSTM_MIXER_ATTENTION,
     ADVANCED_HYBRID,
 )
+
+# Predict's two workers, started by the first parallel predict.  Parallel
+# predicts take turns under the lock, so each restores the OpenBLAS
+# thread count it found.  A forked child has none of its parent's
+# threads, so it starts without workers and with a lock nobody holds.
+_pool = None
+_pool_lock = threading.Lock()
+
+
+def _forget_pool():
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _predict_pool():
+    """The workers; call under ``_pool_lock``."""
+    global _pool
+    if _pool is None:
+        _pool = ThreadPoolExecutor(2, thread_name_prefix="ropnet-predict")
+    return _pool
 
 
 @dataclass
@@ -205,20 +232,50 @@ class Model(Module):
     # Rows do not interact at inference.  Bounded chunks keep layer
     # temporaries off the fresh mmaps that batch-sized ones fault in.
     PREDICT_CHUNK = 256
+    # Rows per slice on the two predict workers: 256-row slices kept
+    # 9-17% more memory resident.
+    PREDICT_SLICE = 128
 
     def predict(self, windows, statics, batch_size=PREDICT_CHUNK):
-        """Inference in chunks of at most PREDICT_CHUNK rows; flat [N]."""
+        """Inference in chunks of at most PREDICT_CHUNK rows; flat [N].
+
+        More rows than one PREDICT_SLICE run as slices on two worker
+        threads, with OpenBLAS held to one thread while they do, where
+        OpenBLAS's thread count can be set and two CPUs are usable.
+        Otherwise the chunks run one after another on the calling
+        thread.  The workers give the bits the same slices give on the
+        calling thread; other slice sizes agree to rounding.
+        """
         if batch_size < 1:
             raise RangeError(f"batch_size must be at least 1, got {batch_size}")
         self._check_inputs(windows, statics)
         n = windows.shape[0]
-        chunk = min(batch_size, self.PREDICT_CHUNK)
         out = np.empty(n)
-        for start in range(0, n, chunk):
-            stop = min(start + chunk, n)
+
+        def run(start, size):
+            stop = min(start + size, n)
             out[start:stop] = self.forward(
                 windows[start:stop], statics[start:stop]
             )[:, 0]
+
+        size = min(batch_size, self.PREDICT_SLICE)
+        blas = openblas_threads() if n > size else None
+        if blas is None or len(os.sched_getaffinity(0)) < 2:
+            chunk = min(batch_size, self.PREDICT_CHUNK)
+            for start in range(0, n, chunk):
+                run(start, chunk)
+            return out
+        futures = []
+        with _pool_lock, one_blas_thread(blas):
+            pool = _predict_pool()
+            try:
+                for start in range(0, n, size):
+                    futures.append(pool.submit(run, start, size))
+            finally:
+                # every slice ends before BLAS gets its threads back
+                wait(futures)
+        for future in futures:
+            future.result()
         return out
 
 

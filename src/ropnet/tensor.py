@@ -2,7 +2,9 @@
 
 Tensors are plain ``numpy.ndarray`` objects holding 64-bit floats;
 the one kernel here is a numerically stable softmax.  On glibc,
-``_pin_heap_thresholds`` keeps training's per-step arrays on the heap.
+``_pin_heap_thresholds`` keeps training's per-step arrays on the heap;
+``openblas_threads`` and ``one_blas_thread`` let parallel predict hold
+OpenBLAS to one thread while its workers run.
 
 Randomness comes from :class:`SeededRng`, a SplitMix64 counter
 generator.  The algorithm is fixed and documented here rather than
@@ -22,7 +24,10 @@ Uniform doubles take the top 53 bits of the output, giving values in
 from __future__ import annotations
 
 import ctypes
+import functools
+import os
 import sys
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -36,12 +41,19 @@ _U53 = np.float64(1.0 / (1 << 53))
 # glibc's mallopt parameters (malloc.h) and the values pinned for them
 _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
+_M_ARENA_MAX = -8
 _MMAP_THRESHOLD = 4 << 20
 _TRIM_THRESHOLD = 32 << 20
 
+# OpenBLAS's thread-count functions are <prefix>_{get,set}_num_threads<suffix>;
+# the scipy-openblas wheels numpy ships with rename them
+_OPENBLAS_PREFIXES = ("scipy_openblas", "openblas")
+_OPENBLAS_SUFFIXES = ("64_", "")
+
 
 def _pin_heap_thresholds():
-    """Fix glibc's mmap and trim thresholds for the whole process.
+    """Fix glibc's mmap and trim thresholds and its arena count for the
+    whole process.
 
     By default glibc serves each block of at least 128 KiB (raised to
     the largest block freed so far) from a fresh mmap, and returns the
@@ -50,8 +62,10 @@ def _pin_heap_thresholds():
     the largest per-step training array (a 2 MiB window-16 LSTM input
     projection) stays on the heap, a whole window-16 flagship step
     (about 18 MiB) stays mapped below the trim threshold, and predict's
-    8 MiB chunk buffers still go to mmap and back to the kernel.  Up to
-    32 MiB of freed heap stays resident.  Elsewhere this does nothing.
+    4-8 MiB window-16 buffers still go to mmap and back to the kernel.
+    Up to 32 MiB of freed heap stays resident.  One arena for all
+    threads keeps predict's workers on that heap too, instead of each
+    worker keeping up to 32 MiB of its own.  Elsewhere this does nothing.
     """
     if not sys.platform.startswith("linux"):
         return
@@ -64,6 +78,48 @@ def _pin_heap_thresholds():
     mallopt.restype = ctypes.c_int
     mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
     mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
+    mallopt(_M_ARENA_MAX, 1)
+
+
+@functools.cache
+def openblas_threads():
+    """OpenBLAS's (get, set) thread-count functions, or None.
+
+    They are looked up in the OpenBLAS library mapped into this
+    process, so only on Linux; None where numpy uses another BLAS.
+    """
+    if not sys.platform.startswith("linux"):
+        return None
+    with open("/proc/self/maps") as maps:
+        fields = [line.split(maxsplit=5) for line in maps]
+    paths = {f[5].strip() for f in fields if len(f) == 6}
+    for path in sorted(p for p in paths if "openblas" in os.path.basename(p).lower()):
+        lib = ctypes.CDLL(path)
+        for prefix in _OPENBLAS_PREFIXES:
+            for suffix in _OPENBLAS_SUFFIXES:
+                get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+                put = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+                if get is not None and put is not None:
+                    get.argtypes, get.restype = (), ctypes.c_int
+                    put.argtypes, put.restype = (ctypes.c_int,), None
+                    return get, put
+    return None
+
+
+@contextmanager
+def one_blas_thread(control):
+    """Hold OpenBLAS to one thread for the whole process, then restore.
+
+    ``control`` is ``openblas_threads()``.  The count is shared by
+    every thread, so callers that may overlap take turns under a lock.
+    """
+    get, put = control
+    before = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(before)
 
 
 def softmax_last_axis(x: np.ndarray) -> np.ndarray:

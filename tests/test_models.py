@@ -1,6 +1,12 @@
 """Model construction, sizing, and forward behavior for all five kinds."""
 
+import multiprocessing
+import os
+import sys
+import threading
+import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +14,7 @@ import pytest
 from ropnet.data import SyntheticSpec, generate_synthetic
 from ropnet.errors import ConfigurationError, DimensionError, RangeError, RopnetError
 from ropnet.layers import GradTape, Linear
+from ropnet import models
 from ropnet.models import (
     ADVANCED_HYBRID,
     BASELINE_LSTM,
@@ -19,7 +26,7 @@ from ropnet.models import (
     build_model,
 )
 from ropnet.preprocess import fit_pipeline, transform
-from ropnet.tensor import SeededRng
+from ropnet.tensor import SeededRng, openblas_threads
 
 
 def _lstm_count(F, H, layers):
@@ -288,6 +295,177 @@ class TestPredict:
         monkeypatch.setattr(model, "forward", no_forward)
         with pytest.raises(RangeError, match="batch_size"):
             model.predict(windows, statics, batch_size=batch_size)
+
+
+def _can_run_workers():
+    # OpenBLAS control is only looked up on Linux, which has the affinity call
+    return openblas_threads() is not None and len(os.sched_getaffinity(0)) >= 2
+
+
+needs_workers = pytest.mark.skipif(
+    not _can_run_workers(), reason="needs OpenBLAS and two usable CPUs"
+)
+
+
+def _record_threads(model, monkeypatch, before_slice=None):
+    """Wrap ``model.forward``; returns the list of threads that ran it."""
+    forward = model.forward
+    threads = []
+
+    def traced(window, static):
+        threads.append(threading.get_ident())
+        if before_slice is not None:
+            before_slice(window)
+        return forward(window, static)
+
+    monkeypatch.setattr(model, "forward", traced)
+    return threads
+
+
+class TestParallelPredict:
+    @pytest.mark.parametrize("window_len", [4, 16])
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_matches_a_serial_loop_of_forward(self, kind, window_len):
+        """The workers, with OpenBLAS on one thread, give the very bits
+        of forward over the same 128-row slices on the calling thread."""
+        spec = ModelSpec(kind, input_features=8, window_len=window_len)
+        model = build_model(spec, SeededRng(21))
+        rng = SeededRng(22)
+        windows = rng.normal((1000, window_len, 8))
+        statics = rng.normal((1000, 8))
+        size = model.PREDICT_SLICE
+        for n in (127, 128, 129, 1000):
+            want = np.concatenate([
+                model.forward(windows[i : min(i + size, n)], statics[i : min(i + size, n)])[:, 0]
+                for i in range(0, n, size)
+            ])
+            np.testing.assert_array_equal(model.predict(windows[:n], statics[:n]), want)
+
+    @needs_workers
+    def test_slices_run_on_the_workers_with_one_blas_thread(self, monkeypatch):
+        model = build_model(small_spec(BASELINE_LSTM), SeededRng(23))
+        windows, statics = small_inputs(model.spec, batch=1000)
+        get, _ = openblas_threads()
+        blas_counts = []
+        threads = _record_threads(model, monkeypatch, lambda w: blas_counts.append(get()))
+        before = get()
+        model.predict(windows, statics)
+        assert len(threads) == 8
+        assert threading.get_ident() not in threads
+        assert blas_counts == [1] * 8
+        assert get() == before
+
+    @needs_workers
+    def test_a_failing_slice_waits_for_the_rest_and_restores_blas(self, monkeypatch):
+        """The first slice fails at once; the error reaches the caller
+        only after every other slice has finished, with OpenBLAS's
+        thread count back where it was."""
+        model = build_model(small_spec(TS_MIXER), SeededRng(24))
+        windows, statics = small_inputs(model.spec, batch=1000)
+        get, put = openblas_threads()
+        finished = []
+
+        def slow_or_failing(window):
+            if np.shares_memory(window, windows[:1]):
+                raise RuntimeError("slice failed")
+            time.sleep(0.02)
+            finished.append(window.shape[0])
+
+        _record_threads(model, monkeypatch, slow_or_failing)
+        original = get()
+        put(2)
+        try:
+            with pytest.raises(RuntimeError, match="slice failed"):
+                model.predict(windows, statics)
+            assert get() == 2
+        finally:
+            put(original)
+        assert sorted(finished) == [104] + [128] * 6
+
+    @needs_workers
+    def test_concurrent_callers_take_turns_with_blas(self):
+        """Four threads predicting at once, on two cores, with thread
+        switches forced often: every result is exact, and the BLAS
+        thread count ends where it began, which a caller that read
+        another's 1 as its own count to restore would break."""
+        model = build_model(small_spec(HYBRID_LSTM_MIXER_ATTENTION), SeededRng(27))
+        windows, statics = small_inputs(model.spec, batch=300)
+        want = model.predict(windows, statics)
+        get, _ = openblas_threads()
+        before = get()
+        results = []
+
+        def caller():
+            for _ in range(3):
+                results.append(model.predict(windows, statics))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            callers = [threading.Thread(target=caller) for _ in range(4)]
+            for t in callers:
+                t.start()
+            for t in callers:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in callers)
+        assert len(results) == 12
+        for got in results:
+            np.testing.assert_array_equal(got, want)
+        assert get() == before
+
+    @needs_workers
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(), reason="needs fork"
+    )
+    def test_a_forked_child_starts_workers_of_its_own(self):
+        """A child forked after a parallel predict has none of the
+        parent's worker threads; its own predict must not wait on them."""
+        model = build_model(small_spec(BASELINE_LSTM), SeededRng(28))
+        windows, statics = small_inputs(model.spec, batch=300)
+        want = model.predict(windows, statics)
+        ctx = multiprocessing.get_context("fork")
+        receiver, sender = ctx.Pipe(duplex=False)
+
+        def child():
+            sender.send(model.predict(windows, statics))
+
+        with warnings.catch_warnings():
+            # newer Pythons warn about forking a process that has threads
+            warnings.simplefilter("ignore", DeprecationWarning)
+            proc = ctx.Process(target=child)
+            proc.start()
+        try:
+            assert receiver.poll(60), "predict in the forked child hung"
+            np.testing.assert_array_equal(receiver.recv(), want)
+        finally:
+            if proc.is_alive():
+                proc.kill()
+            proc.join(timeout=60)
+        assert not proc.is_alive()
+
+    @pytest.mark.parametrize(
+        "rows, batch_size", [(1, 1), (32, 256), (128, 256), (128, 4096), (7, 8)]
+    )
+    def test_a_single_slice_runs_on_the_calling_thread(self, rows, batch_size, monkeypatch):
+        model = build_model(small_spec(HYBRID_LSTM_MIXER), SeededRng(25))
+        windows, statics = small_inputs(model.spec, batch=rows)
+        threads = _record_threads(model, monkeypatch)
+        model.predict(windows, statics, batch_size=batch_size)
+        assert threads == [threading.get_ident()]
+
+    def test_without_openblas_control_every_chunk_runs_serially(self, monkeypatch):
+        """Predict runs 256-row chunks one after another on the calling
+        thread when OpenBLAS's thread count cannot be set."""
+        monkeypatch.setattr(models, "openblas_threads", lambda: None)
+        model = build_model(small_spec(ADVANCED_HYBRID), SeededRng(26))
+        windows, statics = small_inputs(model.spec, batch=1000)
+        rows = []
+        threads = _record_threads(model, monkeypatch, lambda w: rows.append(w.shape[0]))
+        model.predict(windows, statics)
+        assert threads == [threading.get_ident()] * 4
+        assert rows == [256, 256, 256, 232]
 
 
 class TestArena:
