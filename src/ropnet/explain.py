@@ -94,6 +94,9 @@ def permutation_importance(
         raise DimensionError(
             f"{len(feature_names)} names for {windows.shape[2]} features"
         )
+    y = np.asarray(y, dtype=np.float64).reshape(-1)
+    if y.size != n:
+        raise DimensionError(f"{n} windows against {y.size} targets")
 
     def mse(w, s) -> float:
         diff = model.predict(w, s) - y

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -56,29 +56,19 @@ MODEL_KINDS = (
     ADVANCED_HYBRID,
 )
 
-# Predict's two workers, started by the first parallel predict.  Parallel
-# predicts take turns under the lock, so each restores the OpenBLAS
-# thread count it found.  A forked child has none of its parent's
-# threads, so it starts without workers and with a lock nobody holds.
-_pool = None
-_pool_lock = threading.Lock()
+# Parallel predicts take turns under the lock, so each restores the
+# OpenBLAS thread count it found.  A child forked mid-predict would
+# inherit the lock held, so it starts with a fresh one.
+_lock = threading.Lock()
 
 
-def _forget_pool():
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
+def _fresh_lock():
+    global _lock
+    _lock = threading.Lock()
 
 
 if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool)
-
-
-def _predict_pool():
-    """The workers; call under ``_pool_lock``."""
-    global _pool
-    if _pool is None:
-        _pool = ThreadPoolExecutor(2, thread_name_prefix="ropnet-predict")
-    return _pool
+    os.register_at_fork(after_in_child=_fresh_lock)
 
 
 @dataclass
@@ -229,51 +219,43 @@ class Model(Module):
             training=training,
         )
 
-    # Rows do not interact at inference.  Bounded chunks keep layer
-    # temporaries off the fresh mmaps that batch-sized ones fault in.
-    PREDICT_CHUNK = 256
-    # Rows per slice on the two predict workers: 256-row slices kept
-    # 9-17% more memory resident.
+    # Rows do not interact at inference.  Bounded slices keep layer
+    # temporaries off the fresh mmaps that batch-sized ones fault in;
+    # 256-row slices on the two workers kept 9-17% more memory resident.
     PREDICT_SLICE = 128
 
-    def predict(self, windows, statics, batch_size=PREDICT_CHUNK):
-        """Inference in chunks of at most PREDICT_CHUNK rows; flat [N].
+    # stays 256: ropbench/spans.py files default calls as models.predict.calls.b256
+    def predict(self, windows, statics, batch_size=256):
+        """Inference in slices of min(batch_size, PREDICT_SLICE) rows; flat [N].
 
-        More rows than one PREDICT_SLICE run as slices on two worker
-        threads, with OpenBLAS held to one thread while they do, where
+        More than one slice runs on two worker threads made for this
+        call, with OpenBLAS held to one thread while they do, where
         OpenBLAS's thread count can be set and two CPUs are usable.
-        Otherwise the chunks run one after another on the calling
-        thread.  The workers give the bits the same slices give on the
-        calling thread; other slice sizes agree to rounding.
+        Otherwise the slices run one after another on the calling
+        thread.  Both ways cut the same slices, so the predictions do
+        not depend on the CPU count or on BLAS control.
         """
         if batch_size < 1:
             raise RangeError(f"batch_size must be at least 1, got {batch_size}")
         self._check_inputs(windows, statics)
         n = windows.shape[0]
         out = np.empty(n)
-
-        def run(start, size):
-            stop = min(start + size, n)
-            out[start:stop] = self.forward(
-                windows[start:stop], statics[start:stop]
-            )[:, 0]
-
         size = min(batch_size, self.PREDICT_SLICE)
-        blas = openblas_threads() if n > size else None
+        starts = range(0, n, size)
+
+        def run(start):
+            rows = slice(start, start + size)
+            out[rows] = self.forward(windows[rows], statics[rows])[:, 0]
+
+        blas = openblas_threads() if len(starts) > 1 else None
         if blas is None or len(os.sched_getaffinity(0)) < 2:
-            chunk = min(batch_size, self.PREDICT_CHUNK)
-            for start in range(0, n, chunk):
-                run(start, chunk)
+            for start in starts:
+                run(start)
             return out
-        futures = []
-        with _pool_lock, one_blas_thread(blas):
-            pool = _predict_pool()
-            try:
-                for start in range(0, n, size):
-                    futures.append(pool.submit(run, start, size))
-            finally:
-                # every slice ends before BLAS gets its threads back
-                wait(futures)
+        # leaving the pool waits for every slice, before BLAS gets its
+        # threads back; only then does a slice's error reach the caller
+        with _lock, one_blas_thread(blas), ThreadPoolExecutor(2) as pool:
+            futures = [pool.submit(run, start) for start in starts]
         for future in futures:
             future.result()
         return out

@@ -230,19 +230,26 @@ def save_checkpoint(path, model: Model, preprocessor: PreprocessorState | None =
         "preprocessor": None if preprocessor is None else preprocessor.to_dict(),
     }
     payload = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as f:
-        f.write(CHECKPOINT_MAGIC)
-        f.write(struct.pack("<I", CHECKPOINT_VERSION))
-        f.write(struct.pack("<I", len(payload)))
-        f.write(payload)
-        for name, arr in model.state_arrays():
-            encoded = name.encode("utf-8")
-            f.write(struct.pack("<I", len(encoded)))
-            f.write(encoded)
-            f.write(struct.pack("<I", arr.ndim))
-            for extent in arr.shape:
-                f.write(struct.pack("<Q", extent))
-            f.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+    # a write that fails part-way leaves the last good file at ``path``
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as f:
+            f.write(CHECKPOINT_MAGIC)
+            f.write(struct.pack("<I", CHECKPOINT_VERSION))
+            f.write(struct.pack("<I", len(payload)))
+            f.write(payload)
+            for name, arr in model.state_arrays():
+                encoded = name.encode("utf-8")
+                f.write(struct.pack("<I", len(encoded)))
+                f.write(encoded)
+                f.write(struct.pack("<I", arr.ndim))
+                for extent in arr.shape:
+                    f.write(struct.pack("<Q", extent))
+                f.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def _read_exact(f, count: int) -> bytes:

@@ -113,6 +113,23 @@ class TestPermutationImportance:
                 model, windows, statics, y, list("abc"), SeededRng(0)
             )
 
+    def test_targets_hold_one_value_per_window(self):
+        """A column of targets scores as the flat vector does; a target
+        count other than one per window raises instead of broadcasting."""
+        model, windows, statics, y = make_problem(seed=8, n=20)
+        want = permutation_importance(
+            model, windows, statics, y, list("abcd"), SeededRng(3)
+        )
+        got = permutation_importance(
+            model, windows, statics, y[:, None], list("abcd"), SeededRng(3)
+        )
+        assert got == want
+        for bad in (y[:1], y[:5]):
+            with pytest.raises(DimensionError, match="targets"):
+                permutation_importance(
+                    model, windows, statics, bad, list("abcd"), SeededRng(3)
+                )
+
     def test_deterministic_given_rng_seed(self):
         model, windows, statics, y = make_problem(seed=6)
         reports = [

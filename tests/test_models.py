@@ -250,10 +250,10 @@ class TestPredict:
     @pytest.mark.parametrize("window_len", [4, 16])
     @pytest.mark.parametrize("kind", MODEL_KINDS)
     def test_every_batch_size_gives_the_same_predictions(self, kind, window_len):
-        """Batch sizes on both sides of the 256-row chunk agree.
+        """Batch sizes on both sides of the 128-row slice agree.
 
-        520 rows are two full chunks plus a remainder, so every chunk
-        boundary and a short last chunk are crossed.
+        520 rows are four full slices plus a remainder, so every slice
+        boundary and a short last slice are crossed.
         """
         spec = ModelSpec(kind, input_features=8, window_len=window_len)
         model = build_model(spec, SeededRng(11))
@@ -266,7 +266,7 @@ class TestPredict:
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
     def test_large_batches_do_not_raise_peak_memory(self):
-        """Predict memory is bounded by the chunk, not by batch_size."""
+        """Predict memory is bounded by the slice, not by batch_size."""
         spec = ModelSpec(ADVANCED_HYBRID, input_features=8, window_len=16)
         model = build_model(spec, SeededRng(13))
         rng = SeededRng(14)
@@ -340,6 +340,24 @@ class TestParallelPredict:
                 for i in range(0, n, size)
             ])
             np.testing.assert_array_equal(model.predict(windows[:n], statics[:n]), want)
+
+    @needs_workers
+    @pytest.mark.parametrize("window_len", [4, 16])
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_the_calling_thread_gives_the_workers_bits(self, kind, window_len, monkeypatch):
+        """Without OpenBLAS control predict runs on the calling thread,
+        over the same slices, so the bits do not depend on the path."""
+        spec = ModelSpec(kind, input_features=8, window_len=window_len)
+        model = build_model(spec, SeededRng(29))
+        rng = SeededRng(30)
+        windows = rng.normal((1000, window_len, 8))
+        statics = rng.normal((1000, 8))
+        for n in (129, 130, 385, 1000):
+            workers = model.predict(windows[:n], statics[:n])
+            with monkeypatch.context() as patch:
+                patch.setattr(models, "openblas_threads", lambda: None)
+                serial = model.predict(windows[:n], statics[:n])
+            np.testing.assert_array_equal(serial, workers)
 
     @needs_workers
     def test_slices_run_on_the_workers_with_one_blas_thread(self, monkeypatch):
@@ -421,7 +439,8 @@ class TestParallelPredict:
     )
     def test_a_forked_child_starts_workers_of_its_own(self):
         """A child forked after a parallel predict has none of the
-        parent's worker threads; its own predict must not wait on them."""
+        parent's threads and a predict lock nobody holds; its own
+        predict starts workers of its own and finishes."""
         model = build_model(small_spec(BASELINE_LSTM), SeededRng(28))
         windows, statics = small_inputs(model.spec, batch=300)
         want = model.predict(windows, statics)
@@ -456,16 +475,16 @@ class TestParallelPredict:
         assert threads == [threading.get_ident()]
 
     def test_without_openblas_control_every_chunk_runs_serially(self, monkeypatch):
-        """Predict runs 256-row chunks one after another on the calling
-        thread when OpenBLAS's thread count cannot be set."""
+        """Predict runs the workers' 128-row slices one after another on
+        the calling thread when OpenBLAS's thread count cannot be set."""
         monkeypatch.setattr(models, "openblas_threads", lambda: None)
         model = build_model(small_spec(ADVANCED_HYBRID), SeededRng(26))
         windows, statics = small_inputs(model.spec, batch=1000)
         rows = []
         threads = _record_threads(model, monkeypatch, lambda w: rows.append(w.shape[0]))
         model.predict(windows, statics)
-        assert threads == [threading.get_ident()] * 4
-        assert rows == [256, 256, 256, 232]
+        assert threads == [threading.get_ident()] * 8
+        assert rows == [128] * 7 + [104]
 
 
 class TestArena:

@@ -504,6 +504,23 @@ class TestCheckpoints:
         save_checkpoint(path, build_model(spec, SeededRng(42)))
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
+    def test_a_failed_write_keeps_the_last_good_checkpoint(self, tmp_path, monkeypatch):
+        """A write that fails after the first record leaves the previous
+        file byte for byte and no temporary file beside it."""
+        model, path = self._trained(tmp_path)
+        before = path.read_bytes()
+        arrays = model.state_arrays()
+
+        def first_record_then_fail():
+            yield arrays[0]
+            raise OSError("disk full")
+
+        monkeypatch.setattr(model, "state_arrays", first_record_then_fail)
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(path, model)
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == [path.name]
+
     def test_bad_magic_rejected(self, tmp_path):
         _, path = self._trained(tmp_path)
         raw = bytearray(path.read_bytes())
