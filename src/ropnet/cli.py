@@ -14,19 +14,14 @@ its own as ``exit_code``.
 from __future__ import annotations
 
 import argparse
+import json
 import math
 import os
 import sys
 from dataclasses import dataclass, field, fields
 from types import SimpleNamespace
 
-from .data import (
-    SyntheticSpec,
-    generate_synthetic,
-    load_csv,
-    write_csv,
-    write_truth,
-)
+from .data import SyntheticSpec, generate_synthetic, load_csv, replacing, write_csv
 from .errors import (
     ConfigurationError,
     DataError,
@@ -186,13 +181,11 @@ def _train_one(kind: str, train_cfg: TrainConfig, state, prep):
     return model, curve, report
 
 
-def _write(path: str, content: str) -> str:
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(content)
-    return path
-
-
-def _emit(path: str):
+def _write(out: str, name: str, text: str):
+    """Write one formatted artifact whole to ``out``/``name`` and say so."""
+    path = os.path.join(out, name)
+    with replacing(path) as f:
+        f.write(text)
     print(f"wrote {path}")
 
 
@@ -201,13 +194,12 @@ def cmd_gen_data(args) -> int:
     if args.seed is not None:
         cfg.syn_seed = args.seed
     dataset, truth = _synthetic(cfg)
+    truth_json = json.dumps(truth, indent=2, sort_keys=True) + "\n"
     out = _ensure_out(args, cfg)
     csv_path = os.path.join(out, "synthetic.csv")
     write_csv(csv_path, dataset)
-    _emit(csv_path)
-    truth_path = os.path.join(out, "synthetic.truth.json")
-    write_truth(truth_path, truth)
-    _emit(truth_path)
+    print(f"wrote {csv_path}")
+    _write(out, "synthetic.truth.json", truth_json)
     print(
         f"{dataset.n_rows} rows; best attainable mse {truth['bayes_mse']:.4f} "
         f"(r2 {truth['bayes_r2']:.4f})"
@@ -222,12 +214,12 @@ def cmd_train(args) -> int:
     state, prep = _prepare(cfg)
     out = _ensure_out(args, cfg)
     model, curve, report = _train_one(kind, train_cfg, state, prep)
-    curve.write_csv(os.path.join(out, f"losscurve_{kind}.csv"))
-    _emit(os.path.join(out, f"losscurve_{kind}.csv"))
+    curve_csv, metrics_json = curve.to_csv(), report.to_json()
+    _write(out, f"losscurve_{kind}.csv", curve_csv)
     ckpt = os.path.join(out, f"checkpoint_{kind}.roph")
     save_checkpoint(ckpt, model, state)
-    _emit(ckpt)
-    _emit(_write(os.path.join(out, f"metrics_{kind}.json"), report.to_json()))
+    print(f"wrote {ckpt}")
+    _write(out, f"metrics_{kind}.json", metrics_json)
     print(
         f"{kind}: test r2 {report.r2:.4f}, mae {report.mae:.4f}, "
         f"rmse {report.rmse:.4f}, mape {report.mape_pct:.4f}%"
@@ -251,9 +243,9 @@ def cmd_eval(args) -> int:
     model, state, (windows, statics, y_raw) = _eval_inputs(args)
     pred = inverse_target(state, model.predict(windows, statics))
     report = compute_metrics(y_raw, pred)
-    out = _ensure_out(args, RunConfig())
+    metrics_json = report.to_json()
     kind = model.spec.kind
-    _emit(_write(os.path.join(out, f"metrics_{kind}.json"), report.to_json()))
+    _write(_ensure_out(args, RunConfig()), f"metrics_{kind}.json", metrics_json)
     print(
         f"{kind} on {args.data}: r2 {report.r2:.4f}, mae {report.mae:.4f}, "
         f"rmse {report.rmse:.4f}, mape {report.mape_pct:.4f}% "
@@ -267,7 +259,6 @@ def cmd_predict(args) -> int:
         args, require_target=False
     )
     pred = inverse_target(state, model.predict(windows, statics))
-    out = _ensure_out(args, RunConfig())
     lines = []
     if y_raw is None:
         lines.append("sample_index,predicted\n")
@@ -281,8 +272,7 @@ def cmd_predict(args) -> int:
             lines.append(
                 f"{i + state.window_len - 1},{a!r},{p!r},{abs(a - p)!r}\n"
             )
-    path = _write(os.path.join(out, "predictions.csv"), "".join(lines))
-    _emit(path)
+    _write(_ensure_out(args, RunConfig()), "predictions.csv", "".join(lines))
     return 0
 
 
@@ -292,7 +282,7 @@ def cmd_compare(args) -> int:
     state, prep = _prepare(cfg)
     out = _ensure_out(args, cfg)
     rows = ["model,r2,mae,rmse,mape_pct\n"]
-    diverged = []
+    artifacts, diverged = {}, []
     for kind in MODEL_KINDS:
         try:
             _, curve, report = _train_one(kind, train_cfg, state, prep)
@@ -301,15 +291,17 @@ def cmd_compare(args) -> int:
             rows.append(f"{kind},FAILED,FAILED,FAILED,FAILED\n")
             diverged.append(kind)
             continue
-        curve.write_csv(os.path.join(out, f"losscurve_{kind}.csv"))
-        _write(os.path.join(out, f"metrics_{kind}.json"), report.to_json())
+        artifacts[f"losscurve_{kind}.csv"] = curve.to_csv()
+        artifacts[f"metrics_{kind}.json"] = report.to_json()
         rows.append(
             f"{kind},{report.r2!r},{report.mae!r},{report.rmse!r},"
             f"{report.mape_pct!r}\n"
         )
         print(f"{kind}: test r2 {report.r2:.4f}")
-    path = _write(os.path.join(out, "comparison.csv"), "".join(rows))
-    _emit(path)
+    for name, text in artifacts.items():
+        with replacing(os.path.join(out, name)) as f:
+            f.write(text)
+    _write(out, "comparison.csv", "".join(rows))
     if diverged:
         print(f"diverged: {', '.join(diverged)}", file=sys.stderr)
         return 4
@@ -330,11 +322,10 @@ def cmd_explain(args) -> int:
         state.feature_names,
         SeededRng(seed),
     )
+    importance_csv, importance_json = report.to_csv(), report.to_json()
     out = _ensure_out(args, RunConfig())
-    csv_path = os.path.join(out, "importance.csv")
-    report.write_csv(csv_path)
-    _emit(csv_path)
-    _emit(_write(os.path.join(out, "importance.json"), report.to_json()))
+    _write(out, "importance.csv", importance_csv)
+    _write(out, "importance.json", importance_json)
     top = report.ranking()[0]
     print(f"most influential feature: {report.feature_names[top]}")
     return 0

@@ -18,9 +18,10 @@ plus that floor so experiments can measure how close a model gets.
 from __future__ import annotations
 
 import csv
-import json
 import math
+import os
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import islice
 from operator import itemgetter
@@ -200,10 +201,27 @@ def load_csv(path, schema: DatasetSchema | None = None, require_target: bool = T
     )
 
 
+@contextmanager
+def replacing(path, mode="w"):
+    """Yield a file open on ``<path>.<pid>.tmp`` beside ``path``, moved onto
+    ``path`` when the block succeeds and removed when it fails, so ``path``
+    holds either its previous bytes or all of the new ones.  Text modes
+    write UTF-8 without newline translation."""
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    text = "b" not in mode
+    try:
+        with open(tmp, mode, encoding="utf-8" if text else None, newline="" if text else None) as f:
+            yield f
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
 def write_csv(path, dataset: Dataset):
     """Write features (and the default schema's target, when present)
-    with repr-exact floats."""
-    with open(path, "w", encoding="utf-8", newline="") as f:
+    with repr-exact floats, row by row, through ``replacing``."""
+    with replacing(path) as f:
         writer = csv.writer(f)
         header = list(dataset.feature_names)
         if dataset.target is not None:
@@ -348,8 +366,3 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[Dataset, dict]:
     )
     return dataset, truth
 
-
-def write_truth(path, truth: dict):
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(truth, f, indent=2, sort_keys=True)
-        f.write("\n")

@@ -12,6 +12,7 @@ predictor.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +22,7 @@ from .errors import (
     DimensionError,
     InsufficientDataError,
     RangeError,
+    UndefinedMetricError,
 )
 from .tensor import SeededRng
 
@@ -37,37 +39,24 @@ class ImportanceReport:
 
     def ranking(self) -> list[int]:
         """Feature indices from most to least important."""
-        order = sorted(
+        return sorted(
             range(len(self.importances)),
             key=lambda i: self.importances[i],
             reverse=True,
         )
-        return order
 
-    def write_csv(self, path):
-        order = self.ranking()
-        rank = {feat: pos + 1 for pos, feat in enumerate(order)}
-        with open(path, "w", encoding="utf-8") as f:
-            f.write("feature,importance,rank\n")
-            for i, name in enumerate(self.feature_names):
-                f.write(f"{name},{self.importances[i]!r},{rank[i]}\n")
+    def to_csv(self) -> str:
+        rank = {feat: pos + 1 for pos, feat in enumerate(self.ranking())}
+        rows = (
+            f"{name},{self.importances[i]!r},{rank[i]}\n"
+            for i, name in enumerate(self.feature_names)
+        )
+        return "feature,importance,rank\n" + "".join(rows)
 
     def to_json(self) -> str:
-        return (
-            json.dumps(
-                {
-                    "base_mse": self.base_mse,
-                    "repeats": REPEATS,
-                    "importances": dict(
-                        zip(self.feature_names, self.importances)
-                    ),
-                },
-                indent=2,
-                sort_keys=True,
-                allow_nan=False,
-            )
-            + "\n"
-        )
+        importances = dict(zip(self.feature_names, self.importances))
+        payload = {"base_mse": self.base_mse, "repeats": REPEATS, "importances": importances}
+        return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def permutation_importance(
@@ -83,7 +72,8 @@ def permutation_importance(
     Each shuffle rewires one feature inside a single working copy of
     the inputs, which gets that column back before the next feature.
     Scores can be slightly negative for irrelevant features (shuffle
-    noise); they are reported as computed.
+    noise); they are reported as computed.  An MSE or importance that
+    overflows float64 is an error.
     """
     n = windows.shape[0]
     if n < 2:
@@ -99,10 +89,14 @@ def permutation_importance(
         raise DimensionError(f"{n} windows against {y.size} targets")
 
     def mse(w, s) -> float:
-        diff = model.predict(w, s) - y
-        return float(np.mean(diff * diff))
+        pred = model.predict(w, s)
+        with np.errstate(over="ignore"):
+            diff = pred - y
+            return float(np.mean(diff * diff))
 
     base_mse = mse(windows, statics)
+    if not math.isfinite(base_mse):
+        raise UndefinedMetricError(f"the base MSE overflows float64 ({base_mse})")
     w, s = windows.copy(), statics.copy()
     importances = []
     for feature in range(windows.shape[2]):
@@ -115,6 +109,9 @@ def permutation_importance(
         importances.append(rise / REPEATS)
         w[:, :, feature] = windows[:, :, feature]
         s[:, feature] = statics[:, feature]
+    bad = [name for name, v in zip(feature_names, importances) if not math.isfinite(v)]
+    if bad:
+        raise UndefinedMetricError(f"importances of {bad} overflow float64")
     return ImportanceReport(
         feature_names=list(feature_names),
         importances=importances,

@@ -8,13 +8,14 @@ All four measures take actuals first, predictions second:
   MAPE% = 100 * mean(|(y - p) / y|) over rows with |y| >= tolerance
 
 Rows excluded from MAPE are counted and reported, never hidden.
-Non-finite actuals or predictions are rejected rather than turned into
-NaN measures.
+Non-finite actuals or predictions, and measures that overflow float64,
+are rejected rather than turned into inf or NaN measures.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -33,16 +34,12 @@ class MetricsReport:
     n: int
     mape_excluded: int
 
-    def to_dict(self):
-        return asdict(self)
-
     def to_json(self) -> str:
-        return (
-            json.dumps(self.to_dict(), indent=2, sort_keys=True, allow_nan=False)
-            + "\n"
-        )
+        return json.dumps(asdict(self), indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
+# an overflow leaves an inf or NaN measure, which is rejected at the end
+@np.errstate(over="ignore")
 def compute_metrics(actual, predicted) -> MetricsReport:
     actual = np.asarray(actual, dtype=np.float64).reshape(-1)
     predicted = np.asarray(predicted, dtype=np.float64).reshape(-1)
@@ -77,7 +74,7 @@ def compute_metrics(actual, predicted) -> MetricsReport:
             "MAPE is undefined: every actual value is within the zero tolerance"
         )
     mape = 100.0 * float(np.mean(np.abs(err[keep] / actual[keep])))
-    return MetricsReport(
+    report = MetricsReport(
         r2=1.0 - ss_res / ss_tot,
         mae=float(np.mean(np.abs(err))),
         rmse=float(np.sqrt(np.mean(err * err))),
@@ -85,3 +82,9 @@ def compute_metrics(actual, predicted) -> MetricsReport:
         n=n,
         mape_excluded=excluded,
     )
+    overflowed = [name for name, value in asdict(report).items() if not math.isfinite(value)]
+    if overflowed:
+        raise UndefinedMetricError(
+            f"metrics {overflowed} overflow float64 on these values"
+        )
+    return report

@@ -23,7 +23,7 @@ from __future__ import annotations
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -118,13 +118,6 @@ class ModelSpec:
                 f"lstm_hidden {self.lstm_hidden} must be divisible by "
                 f"heads {self.heads}"
             )
-
-    def to_dict(self):
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(**d)
 
 
 class Model(Module):

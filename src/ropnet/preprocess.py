@@ -16,7 +16,7 @@ are computed after inverting it.
 from __future__ import annotations
 
 import warnings
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -73,14 +73,22 @@ def _observed_mean(values: np.ndarray, label: str) -> float:
 
 
 def fit_standard_scaler(rows: np.ndarray, names=None) -> tuple[np.ndarray, np.ndarray]:
-    """Per-column mean and population std; zero spread is an error."""
-    mean = rows.mean(axis=0)
-    std = rows.std(axis=0)
+    """Per-column mean and population std; zero spread, or a mean or
+    spread that overflows float64, is an error."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = rows.mean(axis=0)
+        std = rows.std(axis=0)
+    names = names if names is not None else [f"column {j}" for j in range(rows.shape[1])]
+    bad = np.flatnonzero(~(np.isfinite(mean) & np.isfinite(std)))
+    if bad.size:
+        raise DataError(
+            f"{names[bad[0]]} overflows float64 in its training-row mean or "
+            f"spread; scaling is undefined"
+        )
     bad = np.flatnonzero(std == 0.0)
     if bad.size:
-        label = names[bad[0]] if names is not None else f"column {bad[0]}"
         raise ConstantColumnError(
-            f"{label} is constant on the training rows; scaling is undefined"
+            f"{names[bad[0]]} is constant on the training rows; scaling is undefined"
         )
     return mean, std
 
@@ -201,9 +209,6 @@ class PreprocessorState:
     target_mean: float
     target_std: float
     vocab: dict[str, list[str]] = field(default_factory=dict)
-
-    def to_dict(self):
-        return asdict(self)
 
     @classmethod
     def from_dict(cls, d):

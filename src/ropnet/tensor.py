@@ -62,7 +62,8 @@ def _pin_heap_thresholds():
     the largest per-step training array (a 2 MiB window-16 LSTM input
     projection) stays on the heap, a whole window-16 flagship step
     (about 18 MiB) stays mapped below the trim threshold, and predict's
-    4-8 MiB window-16 buffers still go to mmap and back to the kernel.
+    one larger buffer, a 128-row slice's 4 MiB window-16 LSTM input
+    projection ([128, 16, 256]), still goes to mmap and back to the kernel.
     Up to 32 MiB of freed heap stays resident.  One arena for all
     threads keeps predict's workers on that heap too, instead of each
     worker keeping up to 32 MiB of its own.  Elsewhere this does nothing.

@@ -26,10 +26,11 @@ from __future__ import annotations
 import json
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from .data import replacing
 from .errors import (
     ConfigurationError,
     CorruptCheckpointError,
@@ -146,11 +147,9 @@ class LossCurve:
 
     rows: list[tuple[int, float, float]] = field(default_factory=list)
 
-    def write_csv(self, path):
-        with open(path, "w", encoding="utf-8") as f:
-            f.write("epoch,train_mse,test_mse\n")
-            for epoch, train_mse, test_mse in self.rows:
-                f.write(f"{epoch},{train_mse!r},{test_mse!r}\n")
+    def to_csv(self) -> str:
+        rows = "".join(f"{epoch},{train!r},{test!r}\n" for epoch, train, test in self.rows)
+        return "epoch,train_mse,test_mse\n" + rows
 
     @property
     def final_test_mse(self) -> float:
@@ -224,32 +223,26 @@ def train_model(model: Model, cfg: TrainConfig, train_data, test_data) -> LossCu
 
 
 def save_checkpoint(path, model: Model, preprocessor: PreprocessorState | None = None):
-    """Serialize architecture, preprocessor state, and all arrays."""
+    """Serialize architecture, preprocessor state, and all arrays, array
+    by array, through ``replacing``."""
     header = {
-        "model_spec": model.spec.to_dict(),
-        "preprocessor": None if preprocessor is None else preprocessor.to_dict(),
+        "model_spec": asdict(model.spec),
+        "preprocessor": None if preprocessor is None else asdict(preprocessor),
     }
     payload = json.dumps(header, sort_keys=True).encode("utf-8")
-    # a write that fails part-way leaves the last good file at ``path``
-    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
-    try:
-        with open(tmp, "wb") as f:
-            f.write(CHECKPOINT_MAGIC)
-            f.write(struct.pack("<I", CHECKPOINT_VERSION))
-            f.write(struct.pack("<I", len(payload)))
-            f.write(payload)
-            for name, arr in model.state_arrays():
-                encoded = name.encode("utf-8")
-                f.write(struct.pack("<I", len(encoded)))
-                f.write(encoded)
-                f.write(struct.pack("<I", arr.ndim))
-                for extent in arr.shape:
-                    f.write(struct.pack("<Q", extent))
-                f.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.remove(tmp)
+    with replacing(path, "wb") as f:
+        f.write(CHECKPOINT_MAGIC)
+        f.write(struct.pack("<I", CHECKPOINT_VERSION))
+        f.write(struct.pack("<I", len(payload)))
+        f.write(payload)
+        for name, arr in model.state_arrays():
+            encoded = name.encode("utf-8")
+            f.write(struct.pack("<I", len(encoded)))
+            f.write(encoded)
+            f.write(struct.pack("<I", arr.ndim))
+            for extent in arr.shape:
+                f.write(struct.pack("<Q", extent))
+            f.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
 
 
 def _read_exact(f, count: int) -> bytes:
@@ -279,7 +272,7 @@ def load_checkpoint(path) -> tuple[Model, PreprocessorState | None]:
         (json_len,) = struct.unpack("<I", _read_exact(f, 4))
         try:
             header = json.loads(_read_exact(f, json_len).decode("utf-8"))
-            spec = ModelSpec.from_dict(header["model_spec"])
+            spec = ModelSpec(**header["model_spec"])
             pre = header.get("preprocessor")
             preprocessor = None if pre is None else PreprocessorState.from_dict(pre)
         except (ValueError, KeyError, TypeError, ConfigurationError) as exc:

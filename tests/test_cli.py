@@ -6,6 +6,7 @@ exercising the real artifact formats and exit codes.
 """
 
 import json
+import os
 import re
 import struct
 from dataclasses import fields
@@ -855,6 +856,113 @@ class TestCompare:
             assert (a / f"losscurve_{kind}.csv").exists()
             assert (a / f"metrics_{kind}.json").exists()
         assert table.encode() == (b / "comparison.csv").read_bytes()
+
+
+# every stdout line of each command, with {out} for --out, {csv} for
+# --data and N for a 4-decimal figure
+STDOUT = {
+    "gen-data": [
+        "wrote {out}/synthetic.csv",
+        "wrote {out}/synthetic.truth.json",
+        "160 rows; best attainable mse N (r2 N)",
+    ],
+    "train": [
+        "wrote {out}/losscurve_ts_mixer.csv",
+        "wrote {out}/checkpoint_ts_mixer.roph",
+        "wrote {out}/metrics_ts_mixer.json",
+        "ts_mixer: test r2 N, mae N, rmse N, mape N%",
+    ],
+    "eval": [
+        "wrote {out}/metrics_ts_mixer.json",
+        "ts_mixer on {csv}: r2 N, mae N, rmse N, mape N% (n 159)",
+    ],
+    "predict": ["wrote {out}/predictions.csv"],
+    "compare": [f"{kind}: test r2 N" for kind in MODEL_KINDS] + ["wrote {out}/comparison.csv"],
+    "explain": [
+        "wrote {out}/importance.csv",
+        "wrote {out}/importance.json",
+        "most influential feature: {top}",
+    ],
+}
+
+
+def overflowing_csv(pipeline, dst):
+    """The fixture's CSV with two finite cells whose squares overflow."""
+    set_cell(pipeline["csv"], dst, 10, "WOB", "1e300")
+    return set_cell(dst, dst, 20, "Standpipe Pressure", "-1e300")
+
+
+class TestArtifacts:
+    def _argv(self, command, pipeline, tmp_path):
+        if command in ("gen-data", "train", "compare"):
+            cfg = write_config(
+                tmp_path / "run.cfg",
+                **{
+                    "model.kind": "ts_mixer",
+                    "model.window_len": 2,
+                    "train.epochs": 1,
+                    "train.batch_size": 32,
+                    "data.path": pipeline["csv"],
+                    "data.synthetic.n_rows": 160,
+                },
+            )
+            return [command, "--config", cfg]
+        return [command, "--checkpoint", str(pipeline["ckpt"]), "--data", str(pipeline["csv"])]
+
+    @pytest.mark.parametrize("command", list(STDOUT))
+    def test_artifacts_land_whole_or_not_at_all(
+        self, pipeline, tmp_path, capsys, monkeypatch, command
+    ):
+        """A run prints its usual lines and leaves no temporary file; when
+        the final rename fails, it exits 3 and every earlier artifact
+        keeps its bytes."""
+        out = tmp_path / "out"
+        argv = self._argv(command, pipeline, tmp_path) + ["--out", str(out)]
+        assert main(argv) == 0
+        text = capsys.readouterr().out
+        text = text.replace(str(out), "{out}").replace(str(pipeline["csv"]), "{csv}")
+        top = ""
+        if command == "explain":
+            ranks = (out / "importance.csv").read_text().splitlines()[1:]
+            top = next(row.split(",")[0] for row in ranks if row.endswith(",1"))
+        want = [line.replace("{top}", top) for line in STDOUT[command]]
+        assert re.sub(r"-?\d+\.\d{4}", "N", text).splitlines() == want
+        assert not list(out.glob("*.tmp"))
+
+        for path in out.iterdir():
+            path.write_bytes(b"previous " + path.read_bytes())
+        before = {path.name: path.read_bytes() for path in out.iterdir()}
+
+        def refuse(src, dst):
+            raise OSError(f"cannot rename onto {dst}")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        assert main(argv) == 3
+        assert "cannot rename onto" in capsys.readouterr().err
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
+    def test_overflowing_training_column_exits_3_before_out(self, pipeline, tmp_path, capsys):
+        data = overflowing_csv(pipeline, tmp_path / "huge.csv")
+        cfg = write_config(
+            tmp_path / "run.cfg",
+            **{"model.kind": "ts_mixer", "train.epochs": 1, "data.path": data},
+        )
+        out = tmp_path / "out"
+        assert main(["train", "--config", cfg, "--out", str(out)]) == 3
+        assert "WOB overflows float64" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["eval", "explain"])
+    def test_overflowing_measure_exits_3_with_out_left_empty(
+        self, pipeline, tmp_path, capsys, command
+    ):
+        data = overflowing_csv(pipeline, tmp_path / "huge.csv")
+        out = tmp_path / "out"
+        out.mkdir()
+        argv = [command, "--checkpoint", str(pipeline["ckpt"]), "--data", str(data)]
+        assert main(argv + ["--out", str(out)]) == 3
+        assert "overflow" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
 
 
 class TestArgumentSurface:

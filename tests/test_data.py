@@ -2,6 +2,7 @@
 
 import csv
 import json
+import os
 from unittest import mock
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ropnet import data
+from ropnet.cli import main
 from ropnet.data import (
     Dataset,
     DatasetSchema,
@@ -18,7 +20,6 @@ from ropnet.data import (
     generate_synthetic,
     load_csv,
     write_csv,
-    write_truth,
 )
 from ropnet.errors import ConfigurationError, ParseError, SchemaError
 
@@ -237,6 +238,47 @@ def _block_load(path):
     return dataset.features, dataset.target, dataset.categoricals
 
 
+class TestReplacing:
+    """Every artifact reaches disk through ``data.replacing``."""
+
+    def test_target_changes_only_when_the_block_ends(self, tmp_path):
+        path = tmp_path / "a.txt"
+        path.write_text("old\n")
+        with data.replacing(path) as f:
+            f.write("new\r\n")
+            assert path.read_text() == "old\n"
+            temporary = f"a.txt.{os.getpid()}.tmp"
+            assert sorted(p.name for p in tmp_path.iterdir()) == ["a.txt", temporary]
+        assert path.read_bytes() == b"new\r\n"  # no newline translation
+        assert [p.name for p in tmp_path.iterdir()] == ["a.txt"]
+
+    def test_binary_mode(self, tmp_path):
+        path = tmp_path / "a.bin"
+        with data.replacing(path, "wb") as f:
+            f.write(b"\x00\xff")
+        assert path.read_bytes() == b"\x00\xff"
+
+    def test_failed_block_keeps_the_previous_bytes(self, tmp_path):
+        path = tmp_path / "a.txt"
+        path.write_text("old\n")
+        with pytest.raises(ValueError, match="midway"):
+            with data.replacing(path) as f:
+                f.write("half")
+                raise ValueError("midway")
+        assert path.read_text() == "old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["a.txt"]
+
+    def test_failed_replace_leaves_no_file(self, tmp_path, monkeypatch):
+        def refuse(src, dst):
+            raise OSError("read-only target")
+
+        monkeypatch.setattr(data.os, "replace", refuse)
+        dataset, _ = generate_synthetic(SyntheticSpec(n_rows=100, seed=1))
+        with pytest.raises(OSError, match="read-only"):
+            write_csv(tmp_path / "well.csv", dataset)
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestBlockParse:
     """The block fast path returns what per-cell parsing returns."""
 
@@ -360,9 +402,10 @@ class TestGenerator:
 
     def test_truth_json_round_trip(self, tmp_path):
         _, truth = generate_synthetic(SyntheticSpec(n_rows=150, seed=7))
-        path = tmp_path / "well.truth.json"
-        write_truth(path, truth)
-        assert json.loads(path.read_text()) == truth
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("data.synthetic.n_rows = 150\n")
+        assert main(["gen-data", "--config", str(cfg), "--seed", "7", "--out", str(tmp_path)]) == 0
+        assert json.loads((tmp_path / "synthetic.truth.json").read_text()) == truth
 
 
 class TestGroundTruthRecovery:

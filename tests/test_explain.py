@@ -10,6 +10,7 @@ from ropnet.errors import (
     DimensionError,
     InsufficientDataError,
     RangeError,
+    UndefinedMetricError,
 )
 from ropnet.explain import (
     REPEATS,
@@ -130,6 +131,29 @@ class TestPermutationImportance:
                     model, windows, statics, bad, list("abcd"), SeededRng(3)
                 )
 
+    def test_overflowing_base_mse_rejected(self):
+        model, windows, statics, y = make_problem(seed=2, n=20)
+        huge = y.copy()
+        huge[4] = 1e300
+        with pytest.raises(UndefinedMetricError, match="base MSE"):
+            permutation_importance(
+                model, windows, statics, huge, list("abcd"), SeededRng(3)
+            )
+
+    def test_overflowing_importance_rejected(self):
+        """Exact until feature b is shuffled, when the squared errors
+        overflow; the error names b instead of reporting inf."""
+        _, windows, statics, y = make_problem(seed=2, n=20)
+
+        class Fragile:
+            def predict(self, w, s):
+                return np.where(s[:, 1] == statics[:, 1], y, 1e300)
+
+        with pytest.raises(UndefinedMetricError, match=r"\['b'\] overflow"):
+            permutation_importance(
+                Fragile(), windows, statics, y, list("abcd"), SeededRng(3)
+            )
+
     def test_deterministic_given_rng_seed(self):
         model, windows, statics, y = make_problem(seed=6)
         reports = [
@@ -195,10 +219,8 @@ class TestImportanceReport:
     def test_ranking_descends(self):
         assert self._report().ranking() == [1, 0, 2]
 
-    def test_csv_layout(self, tmp_path):
-        path = tmp_path / "importance.csv"
-        self._report().write_csv(path)
-        lines = path.read_text().splitlines()
+    def test_csv_layout(self):
+        lines = self._report().to_csv().splitlines()
         assert lines[0] == "feature,importance,rank"
         assert lines[1] == "a,0.5,2"
         assert lines[2] == "b,2.0,1"

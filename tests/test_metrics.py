@@ -121,6 +121,18 @@ class TestErrors:
         with pytest.raises(UndefinedMetricError, match="predictions"):
             compute_metrics(TEN_POINT[0], predicted)
 
+    def test_overflowing_measures_rejected(self):
+        """Finite inputs whose squared errors overflow float64 name the
+        measures they break instead of reporting inf or NaN."""
+        actual = TEN_POINT[0]
+        predicted = TEN_POINT[1].copy()
+        predicted[2], predicted[7] = 1e300, -1e300
+        with pytest.raises(UndefinedMetricError, match=r"\['r2', 'rmse'\] overflow"):
+            compute_metrics(actual, predicted)
+        predicted[2], predicted[7] = 1.7e308, -1.7e308  # the sum of |error| too
+        with pytest.raises(UndefinedMetricError, match=r"\['r2', 'mae', 'rmse'\]"):
+            compute_metrics(actual, predicted)
+
     def test_column_vectors_accepted(self):
         report = compute_metrics(TWO_POINT[0][:, None], TWO_POINT[1][:, None])
         assert report.n == 2

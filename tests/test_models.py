@@ -7,6 +7,7 @@ import threading
 import time
 import tracemalloc
 import warnings
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -148,7 +149,7 @@ class TestSpecValidation:
 
     def test_dict_round_trip(self):
         spec = small_spec(ADVANCED_HYBRID)
-        again = ModelSpec.from_dict(spec.to_dict())
+        again = ModelSpec(**asdict(spec))
         assert again == spec
 
 

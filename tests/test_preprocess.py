@@ -1,5 +1,7 @@
 """Pipeline stages: impute, scale, encode, fence, window, and fit."""
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -127,6 +129,25 @@ class TestScaler:
         mean, std = fit_standard_scaler(rows)
         back = invert_scaler(apply_scaler(rows, mean, std), mean, std)
         np.testing.assert_allclose(back, rows, atol=1e-9)
+
+    def test_overflowing_column_named_in_error(self):
+        """A finite 1e300 cell overflows the variance; the column is named
+        instead of a scale of inf reaching a checkpoint."""
+        rows = np.column_stack([np.arange(5.0), np.arange(5.0)])
+        rows[2, 1] = 1e300
+        with pytest.raises(DataError, match="Hook Load overflows float64"):
+            fit_standard_scaler(rows, ["Bit Depth", "Hook Load"])
+        rows[2, 1] = -1.7e308
+        rows[3, 1] = -1.7e308  # the mean overflows as well
+        with pytest.raises(DataError, match="column 1 overflows"):
+            fit_standard_scaler(rows)
+
+    def test_overflowing_cell_stops_the_fit(self):
+        dataset = _synthetic()
+        row = split_train_test(dataset.n_rows - 3).train[0] + 3  # a training row
+        dataset.features[row, 0] = 1e300
+        with pytest.raises(DataError, match="WOB overflows"):
+            fit_pipeline(dataset, window_len=4)
 
     def test_constant_column_named_in_error(self):
         rows = np.column_stack([np.arange(5.0), np.full(5, 2.0)])
@@ -347,17 +368,17 @@ class TestFitPipeline:
 
     def test_state_dict_round_trip(self):
         state, _ = fit_pipeline(_synthetic(), window_len=3)
-        again = PreprocessorState.from_dict(state.to_dict())
+        again = PreprocessorState.from_dict(asdict(state))
         assert again == state
 
     def test_empty_derived_list_from_older_headers_is_dropped(self):
         state, _ = fit_pipeline(_synthetic(), window_len=3)
-        older = dict(state.to_dict(), derived=[])
+        older = dict(asdict(state), derived=[])
         assert PreprocessorState.from_dict(older) == state
 
     def test_nonempty_derived_list_is_incompatible(self):
         state, _ = fit_pipeline(_synthetic(), window_len=3)
-        older = dict(state.to_dict(), derived=["HHP"])
+        older = dict(asdict(state), derived=["HHP"])
         with pytest.raises(IncompatibleCheckpointError, match="HHP"):
             PreprocessorState.from_dict(older)
 
@@ -378,7 +399,7 @@ class TestFitPipeline:
         ],
     )
     def test_inconsistent_state_is_corrupt(self, key, edit):
-        d = fit_pipeline(_synthetic(), window_len=3)[0].to_dict()
+        d = asdict(fit_pipeline(_synthetic(), window_len=3)[0])
         d[key] = edit(d[key])
         with pytest.raises(CorruptCheckpointError, match="preprocessor"):
             PreprocessorState.from_dict(d)

@@ -425,11 +425,9 @@ class TestTrainModel:
 
 
 class TestLossCurveCsv:
-    def test_round_trip_formatting(self, tmp_path):
+    def test_round_trip_formatting(self):
         curve = LossCurve(rows=[(1, 0.5, 0.25), (2, 1.0 / 3.0, 0.125)])
-        path = tmp_path / "curve.csv"
-        curve.write_csv(path)
-        lines = path.read_text().splitlines()
+        lines = curve.to_csv().splitlines()
         assert lines[0] == "epoch,train_mse,test_mse"
         assert len(lines) == 3
         _, train_mse, _ = lines[2].split(",")
