@@ -212,9 +212,9 @@ def cmd_train(args) -> int:
     kind = cfg.model_kind
     train_cfg = _train_config(cfg, (kind,))
     state, prep = _prepare(cfg)
-    out = _ensure_out(args, cfg)
     model, curve, report = _train_one(kind, train_cfg, state, prep)
     curve_csv, metrics_json = curve.to_csv(), report.to_json()
+    out = _ensure_out(args, cfg)
     _write(out, f"losscurve_{kind}.csv", curve_csv)
     ckpt = os.path.join(out, f"checkpoint_{kind}.roph")
     save_checkpoint(ckpt, model, state)
@@ -280,7 +280,6 @@ def cmd_compare(args) -> int:
     cfg = _run_config(args)
     train_cfg = _train_config(cfg, MODEL_KINDS)
     state, prep = _prepare(cfg)
-    out = _ensure_out(args, cfg)
     rows = ["model,r2,mae,rmse,mape_pct\n"]
     artifacts, diverged = {}, []
     for kind in MODEL_KINDS:
@@ -298,6 +297,7 @@ def cmd_compare(args) -> int:
             f"{report.mape_pct!r}\n"
         )
         print(f"{kind}: test r2 {report.r2:.4f}")
+    out = _ensure_out(args, cfg)
     for name, text in artifacts.items():
         with replacing(os.path.join(out, name)) as f:
             f.write(text)

@@ -24,7 +24,7 @@ from .errors import (
     RangeError,
     UndefinedMetricError,
 )
-from .tensor import SeededRng
+from .tensor import SeededRng, on_both_cores
 
 _CONDITION_LIMIT = 1e10
 # Shuffles per feature; an importance is the mean rise over them.
@@ -69,11 +69,12 @@ def permutation_importance(
 ) -> ImportanceReport:
     """Mean MSE increase per feature over ``REPEATS`` shuffles.
 
-    Each shuffle rewires one feature inside a single working copy of
-    the inputs, which gets that column back before the next feature.
-    Scores can be slightly negative for irrelevant features (shuffle
-    noise); they are reported as computed.  An MSE or importance that
-    overflows float64 is an error.
+    Every permutation is drawn up front and applied to its own fresh
+    copy of the inputs, so ``on_both_cores`` can score the shuffles two
+    at a time and still give the bits of a serial loop.  Scores can be
+    slightly negative for irrelevant features (shuffle noise); they are
+    reported as computed.  An MSE or importance that overflows float64
+    is an error.
     """
     n = windows.shape[0]
     if n < 2:
@@ -97,18 +98,22 @@ def permutation_importance(
     base_mse = mse(windows, statics)
     if not math.isfinite(base_mse):
         raise UndefinedMetricError(f"the base MSE overflows float64 ({base_mse})")
-    w, s = windows.copy(), statics.copy()
+    shuffles = [(f, rng.permutation(n)) for f in range(windows.shape[2]) for _ in range(REPEATS)]
+
+    def shuffled_mse(shuffle) -> float:
+        feature, perm = shuffle
+        w, s = windows.copy(), statics.copy()
+        w[:, :, feature] = windows[perm, :, feature]
+        s[:, feature] = statics[perm, feature]
+        return mse(w, s)
+
+    mses = on_both_cores(shuffled_mse, shuffles)
     importances = []
-    for feature in range(windows.shape[2]):
-        rise = 0.0
-        for _ in range(REPEATS):
-            perm = rng.permutation(n)
-            w[:, :, feature] = windows[perm, :, feature]
-            s[:, feature] = statics[perm, feature]
-            rise += mse(w, s) - base_mse
+    for i in range(0, len(mses), REPEATS):
+        rise = 0.0  # plain adds in shuffle order; sum() compensates from Python 3.12
+        for shuffled in mses[i : i + REPEATS]:
+            rise += shuffled - base_mse
         importances.append(rise / REPEATS)
-        w[:, :, feature] = windows[:, :, feature]
-        s[:, feature] = statics[:, feature]
     bad = [name for name, v in zip(feature_names, importances) if not math.isfinite(v)]
     if bad:
         raise UndefinedMetricError(f"importances of {bad} overflow float64")

@@ -20,9 +20,6 @@ target [B, 1].  The five kinds:
 
 from __future__ import annotations
 
-import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,7 +37,7 @@ from .layers import (
     last_step,
     pack,
 )
-from .tensor import SeededRng, _pin_heap_thresholds, one_blas_thread, openblas_threads
+from .tensor import SeededRng, _pin_heap_thresholds, on_both_cores
 
 BASELINE_LSTM = "baseline_lstm"
 TS_MIXER = "ts_mixer"
@@ -55,20 +52,6 @@ MODEL_KINDS = (
     HYBRID_LSTM_MIXER_ATTENTION,
     ADVANCED_HYBRID,
 )
-
-# Parallel predicts take turns under the lock, so each restores the
-# OpenBLAS thread count it found.  A child forked mid-predict would
-# inherit the lock held, so it starts with a fresh one.
-_lock = threading.Lock()
-
-
-def _fresh_lock():
-    global _lock
-    _lock = threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_fresh_lock)
 
 
 @dataclass
@@ -221,10 +204,8 @@ class Model(Module):
     def predict(self, windows, statics, batch_size=256):
         """Inference in slices of min(batch_size, PREDICT_SLICE) rows; flat [N].
 
-        More than one slice runs on two worker threads made for this
-        call, with OpenBLAS held to one thread while they do, where
-        OpenBLAS's thread count can be set and two CPUs are usable.
-        Otherwise the slices run one after another on the calling
+        The slices run through ``on_both_cores``: on two worker threads
+        where that can help, else one after another on the calling
         thread.  Both ways cut the same slices, so the predictions do
         not depend on the CPU count or on BLAS control.
         """
@@ -234,23 +215,12 @@ class Model(Module):
         n = windows.shape[0]
         out = np.empty(n)
         size = min(batch_size, self.PREDICT_SLICE)
-        starts = range(0, n, size)
 
         def run(start):
             rows = slice(start, start + size)
             out[rows] = self.forward(windows[rows], statics[rows])[:, 0]
 
-        blas = openblas_threads() if len(starts) > 1 else None
-        if blas is None or len(os.sched_getaffinity(0)) < 2:
-            for start in starts:
-                run(start)
-            return out
-        # leaving the pool waits for every slice, before BLAS gets its
-        # threads back; only then does a slice's error reach the caller
-        with _lock, one_blas_thread(blas), ThreadPoolExecutor(2) as pool:
-            futures = [pool.submit(run, start) for start in starts]
-        for future in futures:
-            future.result()
+        on_both_cores(run, range(0, n, size))
         return out
 
 

@@ -2,9 +2,10 @@
 
 Tensors are plain ``numpy.ndarray`` objects holding 64-bit floats;
 the one kernel here is a numerically stable softmax.  On glibc,
-``_pin_heap_thresholds`` keeps training's per-step arrays on the heap;
-``openblas_threads`` and ``one_blas_thread`` let parallel predict hold
-OpenBLAS to one thread while its workers run.
+``_pin_heap_thresholds`` keeps training's per-step arrays on the heap.
+``on_both_cores`` runs independent work items, predict's slices and
+explain's shuffles, on two worker threads with OpenBLAS held to one
+thread (``openblas_threads``, ``one_blas_thread``) while they run.
 
 Randomness comes from :class:`SeededRng`, a SplitMix64 counter
 generator.  The algorithm is fixed and documented here rather than
@@ -27,6 +28,8 @@ import ctypes
 import functools
 import os
 import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 
 import numpy as np
@@ -49,6 +52,21 @@ _TRIM_THRESHOLD = 32 << 20
 # the scipy-openblas wheels numpy ships with rename them
 _OPENBLAS_PREFIXES = ("scipy_openblas", "openblas")
 _OPENBLAS_SUFFIXES = ("64_", "")
+
+# Runs on both cores take turns under the lock, so each restores the
+# OpenBLAS thread count it found; a child forked mid-run starts with a
+# fresh one.  Runs nested in a marked worker thread stay serial.
+_lock = threading.Lock()
+_worker = threading.local()
+
+
+def _fresh_lock():
+    global _lock
+    _lock = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_fresh_lock)
 
 
 def _pin_heap_thresholds():
@@ -121,6 +139,27 @@ def one_blas_thread(control):
         yield
     finally:
         put(before)
+
+
+def on_both_cores(fn, items) -> list:
+    """``[fn(item) for item in items]``, on two worker threads made for
+    this call, with OpenBLAS held to one thread while they run.
+
+    The items run one after another on the calling thread instead when
+    there are fewer than two, without OpenBLAS control or two usable
+    CPUs, and in a call from one of the workers, which would wait
+    forever on the lock its own caller holds.  On the workers, an
+    item's error reaches the caller only after every item has finished.
+    """
+    nested = getattr(_worker, "active", False)
+    blas = openblas_threads() if len(items) > 1 and not nested else None
+    if blas is None or len(os.sched_getaffinity(0)) < 2:
+        return [fn(item) for item in items]
+    mark = dict(initializer=setattr, initargs=(_worker, "active", True))
+    # leaving the pool waits for every item, before BLAS gets its threads back
+    with _lock, one_blas_thread(blas), ThreadPoolExecutor(2, **mark) as pool:
+        futures = [pool.submit(fn, item) for item in items]
+    return [future.result() for future in futures]
 
 
 def softmax_last_axis(x: np.ndarray) -> np.ndarray:

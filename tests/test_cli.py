@@ -13,8 +13,9 @@ from dataclasses import fields
 
 import pytest
 
+from ropnet import cli
 from ropnet.cli import RunConfig, main, parse_config
-from ropnet.errors import ConfigurationError
+from ropnet.errors import ConfigurationError, UndefinedMetricError
 from ropnet.models import MODEL_KINDS, ModelSpec, build_model
 from ropnet.tensor import SeededRng
 from ropnet.train import load_checkpoint, save_checkpoint
@@ -280,9 +281,11 @@ class TestTrain:
                 "data.synthetic.n_rows": 120,
             },
         )
-        rc = main(["train", "--config", cfg, "--out", str(tmp_path)])
+        out = tmp_path / "out"
+        rc = main(["train", "--config", cfg, "--out", str(out)])
         assert rc == 4
         assert "epoch" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("column, text", NON_FINITE_CELLS)
     def test_non_finite_cell_exits_3_without_artifact(
@@ -856,6 +859,16 @@ class TestCompare:
             assert (a / f"losscurve_{kind}.csv").exists()
             assert (a / f"metrics_{kind}.json").exists()
         assert table.encode() == (b / "comparison.csv").read_bytes()
+
+    def test_a_failed_kind_leaves_no_out_dir(self, tmp_path, monkeypatch):
+        def undefined(kind, *args):
+            raise UndefinedMetricError(f"{kind}: r2 is undefined")
+
+        monkeypatch.setattr(cli, "_train_one", undefined)
+        cfg = write_config(tmp_path / "compare.cfg", **{"data.synthetic.n_rows": 120})
+        out = tmp_path / "out"
+        assert main(["compare", "--config", cfg, "--out", str(out)]) == 3
+        assert not out.exists()
 
 
 # every stdout line of each command, with {out} for --out, {csv} for

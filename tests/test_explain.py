@@ -1,6 +1,9 @@
 """Permutation importance and the local linear surrogate."""
 
 import json
+import os
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -18,7 +21,10 @@ from ropnet.explain import (
     local_surrogate,
     permutation_importance,
 )
-from ropnet.tensor import SeededRng
+from ropnet.models import ADVANCED_HYBRID, ModelSpec, build_model
+from ropnet.tensor import SeededRng, openblas_threads
+
+from test_models import needs_workers
 
 
 class _LinearStatic:
@@ -206,6 +212,121 @@ class TestPermutationImportance:
             expected.append(rise / REPEATS)
         assert report.base_mse == base
         assert report.importances == expected
+
+
+def model_problem(window_len, n):
+    """A real model, inputs, and noisy targets for it."""
+    spec = ModelSpec(ADVANCED_HYBRID, input_features=8, window_len=window_len)
+    model = build_model(spec, SeededRng(31))
+    rng = SeededRng(32)
+    windows = rng.normal((n, window_len, 8))
+    statics = rng.normal((n, 8))
+    y = model.predict(windows, statics) + rng.normal(n)
+    return model, windows, statics, y
+
+
+def importance(model, windows, statics, y, seed=33):
+    names = [f"x{i}" for i in range(windows.shape[2])]
+    return permutation_importance(model, windows, statics, y, names, SeededRng(seed))
+
+
+def one_cpu(monkeypatch):
+    """Leave the runner one usable CPU, so it runs every item serially."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+
+
+def record_predicts(model, monkeypatch, during=None):
+    """Wrap ``model.predict``; returns the list of threads that ran it.
+
+    ``during(statics)`` runs inside each call, before the prediction."""
+    predict = model.predict
+    threads = []
+
+    def traced(w, s):
+        threads.append(threading.get_ident())
+        if during is not None:
+            during(s)
+        return predict(w, s)
+
+    monkeypatch.setattr(model, "predict", traced)
+    return threads
+
+
+@needs_workers
+class TestImportanceOnBothCores:
+    @pytest.mark.parametrize("window_len", [4, 16])
+    def test_two_workers_give_the_serial_bits(self, window_len, monkeypatch):
+        """200 windows: each shuffle's predict has two slices, which run
+        serially inside a worker and on two workers when forced serial."""
+        problem = model_problem(window_len, n=200)
+        workers = importance(*problem)
+        with monkeypatch.context() as patch:
+            one_cpu(patch)
+            serial = importance(*problem)
+        assert workers.base_mse == serial.base_mse
+        assert workers.importances == serial.importances
+
+    def test_shuffles_run_on_two_workers_with_one_blas_thread(self, monkeypatch):
+        model, windows, statics, y = model_problem(4, n=64)
+        get, _ = openblas_threads()
+        blas_counts = []
+
+        def slowly(s):
+            blas_counts.append(get())
+            time.sleep(0.005)
+
+        threads = record_predicts(model, monkeypatch, slowly)
+        before = get()
+        importance(model, windows, statics, y)
+        caller = threading.get_ident()
+        assert len(threads) == 1 + 8 * REPEATS
+        # the base MSE is scored on the calling thread, the shuffles are not
+        assert threads[0] == caller and blas_counts[0] == before
+        assert caller not in threads[1:] and len(set(threads[1:])) == 2
+        assert blas_counts[1:] == [1] * 8 * REPEATS
+        assert get() == before
+
+    def test_a_failing_shuffle_waits_for_the_rest_and_restores_blas(self, monkeypatch):
+        """The first shuffle fails at once; the error reaches the caller
+        only after every other shuffle has finished, with OpenBLAS's
+        thread count back where it was."""
+        model, windows, statics, y = model_problem(4, n=64)
+        first = SeededRng(33).permutation(64)
+        get, put = openblas_threads()
+        finished = []
+
+        def slow_or_failing(s):
+            if np.array_equal(s[:, 0], statics[first, 0]):
+                raise RuntimeError("shuffle failed")
+            time.sleep(0.01)
+            finished.append(s)
+
+        record_predicts(model, monkeypatch, slow_or_failing)
+        original = get()
+        put(2)
+        try:
+            with pytest.raises(RuntimeError, match="shuffle failed"):
+                importance(model, windows, statics, y)
+            assert get() == 2
+        finally:
+            put(original)
+        # the base MSE and the 39 other shuffles
+        assert len(finished) == 8 * REPEATS
+
+    def test_predicts_inside_the_workers_cannot_deadlock(self, monkeypatch):
+        """300 windows: each shuffle's predict cuts three slices from
+        inside a worker, which must not wait on the runner's lock that
+        its own caller holds."""
+        problem = model_problem(4, n=300)
+        with monkeypatch.context() as patch:
+            one_cpu(patch)
+            serial = importance(*problem)
+        results = []
+        worker = threading.Thread(target=lambda: results.append(importance(*problem)), daemon=True)
+        worker.start()
+        worker.join(timeout=120)
+        assert not worker.is_alive(), "permutation importance deadlocked"
+        assert results == [serial]
 
 
 class TestImportanceReport:

@@ -15,7 +15,7 @@ import pytest
 from ropnet.data import SyntheticSpec, generate_synthetic
 from ropnet.errors import ConfigurationError, DimensionError, RangeError, RopnetError
 from ropnet.layers import GradTape, Linear
-from ropnet import models
+from ropnet import tensor
 from ropnet.models import (
     ADVANCED_HYBRID,
     BASELINE_LSTM,
@@ -356,7 +356,7 @@ class TestParallelPredict:
         for n in (129, 130, 385, 1000):
             workers = model.predict(windows[:n], statics[:n])
             with monkeypatch.context() as patch:
-                patch.setattr(models, "openblas_threads", lambda: None)
+                patch.setattr(tensor, "openblas_threads", lambda: None)
                 serial = model.predict(windows[:n], statics[:n])
             np.testing.assert_array_equal(serial, workers)
 
@@ -478,7 +478,7 @@ class TestParallelPredict:
     def test_without_openblas_control_every_chunk_runs_serially(self, monkeypatch):
         """Predict runs the workers' 128-row slices one after another on
         the calling thread when OpenBLAS's thread count cannot be set."""
-        monkeypatch.setattr(models, "openblas_threads", lambda: None)
+        monkeypatch.setattr(tensor, "openblas_threads", lambda: None)
         model = build_model(small_spec(ADVANCED_HYBRID), SeededRng(26))
         windows, statics = small_inputs(model.spec, batch=1000)
         rows = []
