@@ -258,20 +258,17 @@ def cmd_predict(args) -> int:
     model, state, (windows, statics, y_raw) = _eval_inputs(
         args, require_target=False
     )
-    pred = inverse_target(state, model.predict(windows, statics))
-    lines = []
+    pred = inverse_target(state, model.predict(windows, statics)).tolist()
+    first = state.window_len - 1
     if y_raw is None:
-        lines.append("sample_index,predicted\n")
-        for i, p in enumerate(pred):
-            lines.append(f"{i + state.window_len - 1},{float(p)!r}\n")
+        lines = ["sample_index,predicted\n"]
+        lines += [f"{i},{p!r}\n" for i, p in enumerate(pred, first)]
     else:
-        lines.append("sample_index,actual,predicted,abs_error\n")
-        for i, p in enumerate(pred):
-            a = float(y_raw[i])
-            p = float(p)
-            lines.append(
-                f"{i + state.window_len - 1},{a!r},{p!r},{abs(a - p)!r}\n"
-            )
+        lines = ["sample_index,actual,predicted,abs_error\n"]
+        lines += [
+            f"{i},{a!r},{p!r},{abs(a - p)!r}\n"
+            for i, (a, p) in enumerate(zip(y_raw.tolist(), pred), first)
+        ]
     _write(_ensure_out(args, RunConfig()), "predictions.csv", "".join(lines))
     return 0
 

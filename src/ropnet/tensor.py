@@ -2,10 +2,10 @@
 
 Tensors are plain ``numpy.ndarray`` objects holding 64-bit floats;
 the one kernel here is a numerically stable softmax.  On glibc,
-``_pin_heap_thresholds`` keeps training's per-step arrays on the heap.
-``on_both_cores`` runs independent work items, predict's slices and
-explain's shuffles, on two worker threads with OpenBLAS held to one
-thread (``openblas_threads``, ``one_blas_thread``) while they run.
+``_pin_heap_thresholds`` keeps training's per-step arrays on the heap,
+and ``_pin_one_blas_thread`` holds OpenBLAS to one thread for the whole
+process.  ``on_both_cores`` runs independent work items, predict's
+slices and explain's shuffles, on two worker threads.
 
 Randomness comes from :class:`SeededRng`, a SplitMix64 counter
 generator.  The algorithm is fixed and documented here rather than
@@ -30,7 +30,6 @@ import os
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
 
 import numpy as np
 
@@ -53,20 +52,8 @@ _TRIM_THRESHOLD = 32 << 20
 _OPENBLAS_PREFIXES = ("scipy_openblas", "openblas")
 _OPENBLAS_SUFFIXES = ("64_", "")
 
-# Runs on both cores take turns under the lock, so each restores the
-# OpenBLAS thread count it found; a child forked mid-run starts with a
-# fresh one.  Runs nested in a marked worker thread stay serial.
-_lock = threading.Lock()
+# runs nested in a marked worker thread stay serial
 _worker = threading.local()
-
-
-def _fresh_lock():
-    global _lock
-    _lock = threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_fresh_lock)
 
 
 def _pin_heap_thresholds():
@@ -125,39 +112,41 @@ def openblas_threads():
     return None
 
 
-@contextmanager
-def one_blas_thread(control):
-    """Hold OpenBLAS to one thread for the whole process, then restore.
+def _pin_one_blas_thread():
+    """Set OpenBLAS's process-wide thread count to 1 and leave it there.
 
-    ``control`` is ``openblas_threads()``.  The count is shared by
-    every thread, so callers that may overlap take turns under a lock.
+    ropnet's parallelism is ``on_both_cores``'s two workers, not BLAS's.
+    A GEMM that OpenBLAS splits over two threads leaves its helper
+    thread busy-waiting after it returns, for about 0.13 s of CPU on a
+    2-core x86-64 machine, and setting the count back to 1 does not stop
+    that spin, so a count raised between runs would take a core from the
+    workers that follow.  Idempotent; does nothing without OpenBLAS
+    control (``openblas_threads``).
     """
-    get, put = control
-    before = get()
-    put(1)
-    try:
-        yield
-    finally:
-        put(before)
+    blas = openblas_threads()
+    if blas is not None:
+        blas[1](1)
 
 
 def on_both_cores(fn, items) -> list:
     """``[fn(item) for item in items]``, on two worker threads made for
-    this call, with OpenBLAS held to one thread while they run.
+    this call, with OpenBLAS set to one thread first and left there
+    (``_pin_one_blas_thread``).
 
     The items run one after another on the calling thread instead when
     there are fewer than two, without OpenBLAS control or two usable
-    CPUs, and in a call from one of the workers, which would wait
-    forever on the lock its own caller holds.  On the workers, an
-    item's error reaches the caller only after every item has finished.
+    CPUs, and in a call from one of the workers, so nested runs start
+    no workers of their own.  On the workers, an item's error reaches
+    the caller only after every item has finished.
     """
     nested = getattr(_worker, "active", False)
     blas = openblas_threads() if len(items) > 1 and not nested else None
     if blas is None or len(os.sched_getaffinity(0)) < 2:
         return [fn(item) for item in items]
+    _pin_one_blas_thread()
     mark = dict(initializer=setattr, initargs=(_worker, "active", True))
-    # leaving the pool waits for every item, before BLAS gets its threads back
-    with _lock, one_blas_thread(blas), ThreadPoolExecutor(2, **mark) as pool:
+    # leaving the pool waits for every item
+    with ThreadPoolExecutor(2, **mark) as pool:
         futures = [pool.submit(fn, item) for item in items]
     return [future.result() for future in futures]
 

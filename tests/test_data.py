@@ -80,6 +80,21 @@ class TestCsvRoundTrip:
         np.testing.assert_array_equal(again.features, dataset.features)
         np.testing.assert_array_equal(again.target, dataset.target)
 
+    def test_bytes_are_pinned(self, tmp_path):
+        """Each cell is its float's repr, and rows end in csv's \\r\\n."""
+        dataset = Dataset(
+            feature_names=["A", "B"],
+            features=np.array([[-0.0, 1e16], [5e-324, 1.7976931348623157e308]]),
+            target=np.array([0.30000000000000004, 2.5]),
+        )
+        path = tmp_path / "pinned.csv"
+        write_csv(path, dataset)
+        assert path.read_bytes() == (
+            b"A,B,ROP\r\n"
+            b"-0.0,1e+16,0.30000000000000004\r\n"
+            b"5e-324,1.7976931348623157e+308,2.5\r\n"
+        )
+
     def test_target_optional_on_request(self, tmp_path):
         dataset, _ = generate_synthetic(SyntheticSpec(n_rows=100, seed=1))
         dataset.target = None

@@ -2,6 +2,7 @@
 
 import multiprocessing
 import os
+import subprocess
 import sys
 import threading
 import time
@@ -323,6 +324,59 @@ def _record_threads(model, monkeypatch, before_slice=None):
     return threads
 
 
+@pytest.fixture
+def blas():
+    """OpenBLAS's (get, set) thread-count functions; the count is held
+    at 1 again afterwards."""
+    control = openblas_threads()
+    yield control
+    control[1](1)
+
+
+_SPIN_PROBE = """
+import time
+import numpy as np
+from ropnet.models import BASELINE_LSTM, ModelSpec, build_model
+from ropnet.tensor import SeededRng
+a = np.random.default_rng(0).normal(size=(512, 512))
+build_model(ModelSpec(BASELINE_LSTM, input_features=8, window_len=4), SeededRng(0))
+a @ a
+start = time.process_time()
+a @ a
+time.sleep(0.2)
+print(time.process_time() - start)
+"""
+
+
+class TestOneBlasThread:
+    @needs_workers
+    def test_no_blas_helper_spins_after_a_model_is_built(self):
+        """After a model is built, a 512x512 GEMM runs on one thread and
+        leaves no OpenBLAS helper busy-waiting: with two threads it
+        spins for about 0.13 s of CPU after the GEMM returns.  The probe
+        runs in a fresh process, at OpenBLAS's default thread count."""
+        src = os.path.dirname(os.path.dirname(tensor.__file__))
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ, PYTHONPATH=src if not path else src + os.pathsep + path)
+        env.pop("OPENBLAS_NUM_THREADS", None)
+        done = subprocess.run(
+            [sys.executable, "-c", _SPIN_PROBE],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert float(done.stdout) < 0.05, done.stdout
+
+    @pytest.mark.skipif(openblas_threads() is None, reason="needs OpenBLAS control")
+    def test_building_a_model_sets_one_thread(self, blas):
+        get, put = blas
+        put(2)
+        build_model(small_spec(TS_MIXER), SeededRng(31))
+        assert get() == 1
+
+
 class TestParallelPredict:
     @pytest.mark.parametrize("window_len", [4, 16])
     @pytest.mark.parametrize("kind", MODEL_KINDS)
@@ -361,27 +415,28 @@ class TestParallelPredict:
             np.testing.assert_array_equal(serial, workers)
 
     @needs_workers
-    def test_slices_run_on_the_workers_with_one_blas_thread(self, monkeypatch):
+    def test_slices_run_on_the_workers_with_one_blas_thread(self, monkeypatch, blas):
+        """With the count raised after the model was built, every slice
+        still runs with OpenBLAS on one thread, and the count stays 1."""
         model = build_model(small_spec(BASELINE_LSTM), SeededRng(23))
         windows, statics = small_inputs(model.spec, batch=1000)
-        get, _ = openblas_threads()
+        get, put = blas
         blas_counts = []
         threads = _record_threads(model, monkeypatch, lambda w: blas_counts.append(get()))
-        before = get()
+        put(2)
         model.predict(windows, statics)
         assert len(threads) == 8
         assert threading.get_ident() not in threads
         assert blas_counts == [1] * 8
-        assert get() == before
+        assert get() == 1
 
     @needs_workers
-    def test_a_failing_slice_waits_for_the_rest_and_restores_blas(self, monkeypatch):
+    def test_a_failing_slice_waits_and_leaves_blas_at_one(self, monkeypatch, blas):
         """The first slice fails at once; the error reaches the caller
         only after every other slice has finished, with OpenBLAS's
-        thread count back where it was."""
+        thread count left at 1."""
         model = build_model(small_spec(TS_MIXER), SeededRng(24))
         windows, statics = small_inputs(model.spec, batch=1000)
-        get, put = openblas_threads()
         finished = []
 
         def slow_or_failing(window):
@@ -391,27 +446,23 @@ class TestParallelPredict:
             finished.append(window.shape[0])
 
         _record_threads(model, monkeypatch, slow_or_failing)
-        original = get()
+        get, put = blas
         put(2)
-        try:
-            with pytest.raises(RuntimeError, match="slice failed"):
-                model.predict(windows, statics)
-            assert get() == 2
-        finally:
-            put(original)
+        with pytest.raises(RuntimeError, match="slice failed"):
+            model.predict(windows, statics)
+        assert get() == 1
         assert sorted(finished) == [104] + [128] * 6
 
     @needs_workers
-    def test_concurrent_callers_take_turns_with_blas(self):
-        """Four threads predicting at once, on two cores, with thread
-        switches forced often: every result is exact, and the BLAS
-        thread count ends where it began, which a caller that read
-        another's 1 as its own count to restore would break."""
+    def test_concurrent_callers_get_exact_bits(self, blas):
+        """Four threads predicting at once, each with two workers of its
+        own, on two cores, with thread switches forced often: every
+        result is exact, and the BLAS thread count ends at 1."""
         model = build_model(small_spec(HYBRID_LSTM_MIXER_ATTENTION), SeededRng(27))
         windows, statics = small_inputs(model.spec, batch=300)
         want = model.predict(windows, statics)
-        get, _ = openblas_threads()
-        before = get()
+        get, put = blas
+        put(2)
         results = []
 
         def caller():
@@ -432,7 +483,7 @@ class TestParallelPredict:
         assert len(results) == 12
         for got in results:
             np.testing.assert_array_equal(got, want)
-        assert get() == before
+        assert get() == 1
 
     @needs_workers
     @pytest.mark.skipif(
@@ -440,8 +491,8 @@ class TestParallelPredict:
     )
     def test_a_forked_child_starts_workers_of_its_own(self):
         """A child forked after a parallel predict has none of the
-        parent's threads and a predict lock nobody holds; its own
-        predict starts workers of its own and finishes."""
+        parent's threads; its own predict starts workers of its own and
+        finishes."""
         model = build_model(small_spec(BASELINE_LSTM), SeededRng(28))
         windows, statics = small_inputs(model.spec, batch=300)
         want = model.predict(windows, statics)

@@ -33,7 +33,7 @@ from ropnet.models import (
     build_model,
 )
 from ropnet.preprocess import fit_pipeline
-from ropnet.tensor import SeededRng
+from ropnet.tensor import SeededRng, openblas_threads
 from ropnet.train import (
     AdamWState,
     CHECKPOINT_MAGIC,
@@ -296,6 +296,33 @@ class TestTrainModel:
         for p in model.params():
             assert np.shares_memory(p.value, values), p.name
             assert not np.array_equal(p.value, before[p.name]), p.name
+
+    @pytest.mark.skipif(openblas_threads() is None, reason="needs OpenBLAS control")
+    @pytest.mark.parametrize("window_len", [4, 16])
+    @pytest.mark.parametrize("kind", [ADVANCED_HYBRID, BASELINE_LSTM])
+    def test_training_bits_do_not_depend_on_blas_threads(self, kind, window_len):
+        """One epoch at the models' real widths, where OpenBLAS splits
+        the larger GEMMs over two threads, steps the arena to the bits
+        it reaches on one thread, so holding OpenBLAS at one thread
+        changes no trained weight."""
+        rng = SeededRng(5)
+        windows = rng.normal((320, window_len, 8))
+        statics = rng.normal((320, 8))
+        y = rng.normal((320, 1))
+        train = (windows[:256], statics[:256], y[:256])
+        test = (windows[256:], statics[256:], y[256:])
+        spec = ModelSpec(kind, input_features=8, window_len=window_len)
+        _, put = openblas_threads()
+        arenas = []
+        try:
+            for count in (2, 1):
+                model = build_model(spec, SeededRng(3))
+                put(count)
+                train_model(model, TrainConfig(epochs=1, batch_size=64), train, test)
+                arenas.append(model.arena()[0])
+        finally:
+            put(1)
+        np.testing.assert_array_equal(arenas[0], arenas[1])
 
     def test_seed_changes_trajectory(self):
         train, test = _toy_problem()
