@@ -37,7 +37,7 @@ from .layers import (
     last_step,
     pack,
 )
-from .tensor import SeededRng, _pin_heap_thresholds, _pin_one_blas_thread, on_both_cores
+from .tensor import SeededRng, _pin_heap_thresholds, on_both_cores
 
 BASELINE_LSTM = "baseline_lstm"
 TS_MIXER = "ts_mixer"
@@ -113,7 +113,6 @@ class Model(Module):
 
     def __init__(self, spec: ModelSpec, rng: SeededRng):
         _pin_heap_thresholds()
-        _pin_one_blas_thread()
         self.spec = spec
         self._build(spec, rng)
         self._arena = pack(self.storage())
@@ -207,9 +206,8 @@ class Model(Module):
 
         The slices run through ``on_both_cores``: on two worker threads
         where that can help, else one after another on the calling
-        thread, with OpenBLAS on the one thread that building the model
-        set.  Both ways cut the same slices, so the predictions do not
-        depend on the CPU count or on BLAS control.
+        thread.  Both ways cut the same slices, so the predictions do
+        not depend on the CPU count or on BLAS control.
         """
         if batch_size < 1:
             raise RangeError(f"batch_size must be at least 1, got {batch_size}")

@@ -2,10 +2,11 @@
 
 Tensors are plain ``numpy.ndarray`` objects holding 64-bit floats;
 the one kernel here is a numerically stable softmax.  On glibc,
-``_pin_heap_thresholds`` keeps training's per-step arrays on the heap,
-and ``_pin_one_blas_thread`` holds OpenBLAS to one thread for the whole
-process.  ``on_both_cores`` runs independent work items, predict's
-slices and explain's shuffles, on two worker threads.
+``_pin_heap_thresholds`` keeps training's per-step arrays on the heap.
+``on_both_cores`` runs independent work items, predict's slices and
+explain's shuffles, on two worker threads with OpenBLAS held to one
+thread, and its idle helper threads stopped, while they run
+(``openblas_threads``, ``one_blas_thread``).
 
 Randomness comes from :class:`SeededRng`, a SplitMix64 counter
 generator.  The algorithm is fixed and documented here rather than
@@ -30,6 +31,7 @@ import os
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -48,12 +50,26 @@ _MMAP_THRESHOLD = 4 << 20
 _TRIM_THRESHOLD = 32 << 20
 
 # OpenBLAS's thread-count functions are <prefix>_{get,set}_num_threads<suffix>;
-# the scipy-openblas wheels numpy ships with rename them
+# the scipy-openblas wheels numpy ships with rename them, but not the
+# function that stops its helper threads, which OpenBLAS calls before a fork
 _OPENBLAS_PREFIXES = ("scipy_openblas", "openblas")
 _OPENBLAS_SUFFIXES = ("64_", "")
+_OPENBLAS_STOP = "blas_thread_shutdown_"
 
-# runs nested in a marked worker thread stay serial
+# Runs on both cores take turns under the lock, so each restores the
+# OpenBLAS thread count it found; a child forked mid-run starts with a
+# fresh one.  Runs nested in a marked worker thread stay serial.
+_lock = threading.Lock()
 _worker = threading.local()
+
+
+def _fresh_lock():
+    global _lock
+    _lock = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_fresh_lock)
 
 
 def _pin_heap_thresholds():
@@ -89,7 +105,8 @@ def _pin_heap_thresholds():
 
 @functools.cache
 def openblas_threads():
-    """OpenBLAS's (get, set) thread-count functions, or None.
+    """OpenBLAS's (get, set) thread-count functions and its helper
+    threads' stop function (None where not exported), or None.
 
     They are looked up in the OpenBLAS library mapped into this
     process, so only on Linux; None where numpy uses another BLAS.
@@ -108,45 +125,61 @@ def openblas_threads():
                 if get is not None and put is not None:
                     get.argtypes, get.restype = (), ctypes.c_int
                     put.argtypes, put.restype = (ctypes.c_int,), None
-                    return get, put
+                    stop = getattr(lib, _OPENBLAS_STOP, None)
+                    if stop is not None:
+                        stop.argtypes, stop.restype = (), ctypes.c_int
+                    return get, put, stop
     return None
 
 
-def _pin_one_blas_thread():
-    """Set OpenBLAS's process-wide thread count to 1 and leave it there.
+@contextmanager
+def one_blas_thread(control):
+    """Hold OpenBLAS to one thread for the whole process, then restore.
 
-    ropnet's parallelism is ``on_both_cores``'s two workers, not BLAS's.
-    A GEMM that OpenBLAS splits over two threads leaves its helper
-    thread busy-waiting after it returns, for about 0.13 s of CPU on a
-    2-core x86-64 machine, and setting the count back to 1 does not stop
-    that spin, so a count raised between runs would take a core from the
-    workers that follow.  Idempotent; does nothing without OpenBLAS
-    control (``openblas_threads``).
+    ``control`` is ``openblas_threads()``.  The count is shared by
+    every thread, so callers that may overlap take turns under a lock.
+
+    After a GEMM split over two threads, OpenBLAS's helper busy-waits
+    for about 0.1 s (2-core x86-64), and lowering the count does not
+    end that, so where the count was above 1 the helpers are stopped
+    before the run and again after the restore, which starts them
+    spinning; the next multi-threaded GEMM starts them again.  Only the
+    process's only Python thread stops them: stopping them while
+    another thread is inside OpenBLAS could hang both.
     """
-    blas = openblas_threads()
-    if blas is not None:
-        blas[1](1)
+    get, put, stop = control
+    before = get()
+    if before < 2 or threading.active_count() > 1:
+        stop = None
+    put(1)
+    if stop is not None:
+        stop()
+    try:
+        yield
+    finally:
+        put(before)
+        if stop is not None and threading.active_count() == 1:
+            stop()
 
 
 def on_both_cores(fn, items) -> list:
     """``[fn(item) for item in items]``, on two worker threads made for
-    this call, with OpenBLAS set to one thread first and left there
-    (``_pin_one_blas_thread``).
+    this call, with OpenBLAS held to one thread while they run
+    (``one_blas_thread``).
 
     The items run one after another on the calling thread instead when
     there are fewer than two, without OpenBLAS control or two usable
-    CPUs, and in a call from one of the workers, so nested runs start
-    no workers of their own.  On the workers, an item's error reaches
-    the caller only after every item has finished.
+    CPUs, and in a call from one of the workers, which would wait
+    forever on the lock its own caller holds.  On the workers, an
+    item's error reaches the caller only after every item has finished.
     """
     nested = getattr(_worker, "active", False)
     blas = openblas_threads() if len(items) > 1 and not nested else None
     if blas is None or len(os.sched_getaffinity(0)) < 2:
         return [fn(item) for item in items]
-    _pin_one_blas_thread()
     mark = dict(initializer=setattr, initargs=(_worker, "active", True))
-    # leaving the pool waits for every item
-    with ThreadPoolExecutor(2, **mark) as pool:
+    # leaving the pool waits for every item, before BLAS gets its threads back
+    with _lock, one_blas_thread(blas), ThreadPoolExecutor(2, **mark) as pool:
         futures = [pool.submit(fn, item) for item in items]
     return [future.result() for future in futures]
 

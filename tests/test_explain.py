@@ -22,9 +22,9 @@ from ropnet.explain import (
     permutation_importance,
 )
 from ropnet.models import ADVANCED_HYBRID, ModelSpec, build_model
-from ropnet.tensor import SeededRng
+from ropnet.tensor import SeededRng, openblas_threads
 
-from test_models import blas, needs_workers  # noqa: F401 (blas is a fixture)
+from test_models import needs_workers
 
 
 class _LinearStatic:
@@ -266,12 +266,9 @@ class TestImportanceOnBothCores:
         assert workers.base_mse == serial.base_mse
         assert workers.importances == serial.importances
 
-    def test_shuffles_run_on_two_workers_with_one_blas_thread(self, monkeypatch, blas):
-        """With the count raised after the model was built, the base MSE
-        runs at that count on the calling thread, and every shuffle with
-        OpenBLAS on one thread, where the count stays."""
+    def test_shuffles_run_on_two_workers_with_one_blas_thread(self, monkeypatch):
         model, windows, statics, y = model_problem(4, n=64)
-        get, put = blas
+        get, _, _ = openblas_threads()
         blas_counts = []
 
         def slowly(s):
@@ -279,22 +276,23 @@ class TestImportanceOnBothCores:
             time.sleep(0.005)
 
         threads = record_predicts(model, monkeypatch, slowly)
-        put(2)
+        before = get()
         importance(model, windows, statics, y)
         caller = threading.get_ident()
         assert len(threads) == 1 + 8 * REPEATS
         # the base MSE is scored on the calling thread, the shuffles are not
-        assert threads[0] == caller and blas_counts[0] == 2
+        assert threads[0] == caller and blas_counts[0] == before
         assert caller not in threads[1:] and len(set(threads[1:])) == 2
         assert blas_counts[1:] == [1] * 8 * REPEATS
-        assert get() == 1
+        assert get() == before
 
-    def test_a_failing_shuffle_waits_and_leaves_blas_at_one(self, monkeypatch, blas):
+    def test_a_failing_shuffle_waits_for_the_rest_and_restores_blas(self, monkeypatch):
         """The first shuffle fails at once; the error reaches the caller
         only after every other shuffle has finished, with OpenBLAS's
-        thread count left at 1."""
+        thread count back where it was."""
         model, windows, statics, y = model_problem(4, n=64)
         first = SeededRng(33).permutation(64)
+        get, put, _ = openblas_threads()
         finished = []
 
         def slow_or_failing(s):
@@ -304,11 +302,14 @@ class TestImportanceOnBothCores:
             finished.append(s)
 
         record_predicts(model, monkeypatch, slow_or_failing)
-        get, put = blas
+        original = get()
         put(2)
-        with pytest.raises(RuntimeError, match="shuffle failed"):
-            importance(model, windows, statics, y)
-        assert get() == 1
+        try:
+            with pytest.raises(RuntimeError, match="shuffle failed"):
+                importance(model, windows, statics, y)
+            assert get() == 2
+        finally:
+            put(original)
         # the base MSE and the 39 other shuffles
         assert len(finished) == 8 * REPEATS
 

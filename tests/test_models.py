@@ -324,59 +324,6 @@ def _record_threads(model, monkeypatch, before_slice=None):
     return threads
 
 
-@pytest.fixture
-def blas():
-    """OpenBLAS's (get, set) thread-count functions; the count is held
-    at 1 again afterwards."""
-    control = openblas_threads()
-    yield control
-    control[1](1)
-
-
-_SPIN_PROBE = """
-import time
-import numpy as np
-from ropnet.models import BASELINE_LSTM, ModelSpec, build_model
-from ropnet.tensor import SeededRng
-a = np.random.default_rng(0).normal(size=(512, 512))
-build_model(ModelSpec(BASELINE_LSTM, input_features=8, window_len=4), SeededRng(0))
-a @ a
-start = time.process_time()
-a @ a
-time.sleep(0.2)
-print(time.process_time() - start)
-"""
-
-
-class TestOneBlasThread:
-    @needs_workers
-    def test_no_blas_helper_spins_after_a_model_is_built(self):
-        """After a model is built, a 512x512 GEMM runs on one thread and
-        leaves no OpenBLAS helper busy-waiting: with two threads it
-        spins for about 0.13 s of CPU after the GEMM returns.  The probe
-        runs in a fresh process, at OpenBLAS's default thread count."""
-        src = os.path.dirname(os.path.dirname(tensor.__file__))
-        path = os.environ.get("PYTHONPATH")
-        env = dict(os.environ, PYTHONPATH=src if not path else src + os.pathsep + path)
-        env.pop("OPENBLAS_NUM_THREADS", None)
-        done = subprocess.run(
-            [sys.executable, "-c", _SPIN_PROBE],
-            env=env,
-            capture_output=True,
-            text=True,
-            timeout=120,
-        )
-        assert done.returncode == 0, done.stderr
-        assert float(done.stdout) < 0.05, done.stdout
-
-    @pytest.mark.skipif(openblas_threads() is None, reason="needs OpenBLAS control")
-    def test_building_a_model_sets_one_thread(self, blas):
-        get, put = blas
-        put(2)
-        build_model(small_spec(TS_MIXER), SeededRng(31))
-        assert get() == 1
-
-
 class TestParallelPredict:
     @pytest.mark.parametrize("window_len", [4, 16])
     @pytest.mark.parametrize("kind", MODEL_KINDS)
@@ -415,28 +362,27 @@ class TestParallelPredict:
             np.testing.assert_array_equal(serial, workers)
 
     @needs_workers
-    def test_slices_run_on_the_workers_with_one_blas_thread(self, monkeypatch, blas):
-        """With the count raised after the model was built, every slice
-        still runs with OpenBLAS on one thread, and the count stays 1."""
+    def test_slices_run_on_the_workers_with_one_blas_thread(self, monkeypatch):
         model = build_model(small_spec(BASELINE_LSTM), SeededRng(23))
         windows, statics = small_inputs(model.spec, batch=1000)
-        get, put = blas
+        get, _, _ = openblas_threads()
         blas_counts = []
         threads = _record_threads(model, monkeypatch, lambda w: blas_counts.append(get()))
-        put(2)
+        before = get()
         model.predict(windows, statics)
         assert len(threads) == 8
         assert threading.get_ident() not in threads
         assert blas_counts == [1] * 8
-        assert get() == 1
+        assert get() == before
 
     @needs_workers
-    def test_a_failing_slice_waits_and_leaves_blas_at_one(self, monkeypatch, blas):
+    def test_a_failing_slice_waits_for_the_rest_and_restores_blas(self, monkeypatch):
         """The first slice fails at once; the error reaches the caller
         only after every other slice has finished, with OpenBLAS's
-        thread count left at 1."""
+        thread count back where it was."""
         model = build_model(small_spec(TS_MIXER), SeededRng(24))
         windows, statics = small_inputs(model.spec, batch=1000)
+        get, put, _ = openblas_threads()
         finished = []
 
         def slow_or_failing(window):
@@ -446,23 +392,27 @@ class TestParallelPredict:
             finished.append(window.shape[0])
 
         _record_threads(model, monkeypatch, slow_or_failing)
-        get, put = blas
+        original = get()
         put(2)
-        with pytest.raises(RuntimeError, match="slice failed"):
-            model.predict(windows, statics)
-        assert get() == 1
+        try:
+            with pytest.raises(RuntimeError, match="slice failed"):
+                model.predict(windows, statics)
+            assert get() == 2
+        finally:
+            put(original)
         assert sorted(finished) == [104] + [128] * 6
 
     @needs_workers
-    def test_concurrent_callers_get_exact_bits(self, blas):
-        """Four threads predicting at once, each with two workers of its
-        own, on two cores, with thread switches forced often: every
-        result is exact, and the BLAS thread count ends at 1."""
+    def test_concurrent_callers_take_turns_with_blas(self):
+        """Four threads predicting at once, on two cores, with thread
+        switches forced often: every result is exact, and the BLAS
+        thread count ends where it began, which a caller that read
+        another's 1 as its own count to restore would break."""
         model = build_model(small_spec(HYBRID_LSTM_MIXER_ATTENTION), SeededRng(27))
         windows, statics = small_inputs(model.spec, batch=300)
         want = model.predict(windows, statics)
-        get, put = blas
-        put(2)
+        get, _, _ = openblas_threads()
+        before = get()
         results = []
 
         def caller():
@@ -483,7 +433,7 @@ class TestParallelPredict:
         assert len(results) == 12
         for got in results:
             np.testing.assert_array_equal(got, want)
-        assert get() == 1
+        assert get() == before
 
     @needs_workers
     @pytest.mark.skipif(
@@ -491,8 +441,8 @@ class TestParallelPredict:
     )
     def test_a_forked_child_starts_workers_of_its_own(self):
         """A child forked after a parallel predict has none of the
-        parent's threads; its own predict starts workers of its own and
-        finishes."""
+        parent's threads and a predict lock nobody holds; its own
+        predict starts workers of its own and finishes."""
         model = build_model(small_spec(BASELINE_LSTM), SeededRng(28))
         windows, statics = small_inputs(model.spec, batch=300)
         want = model.predict(windows, statics)
@@ -537,6 +487,85 @@ class TestParallelPredict:
         model.predict(windows, statics)
         assert threads == [threading.get_ident()] * 8
         assert rows == [128] * 7 + [104]
+
+
+_SPIN_PROBE = """
+import time
+import numpy as np
+from ropnet.models import BASELINE_LSTM, ModelSpec, build_model
+from ropnet.tensor import SeededRng
+model = build_model(ModelSpec(BASELINE_LSTM, input_features=8, window_len=4), SeededRng(0))
+rng = SeededRng(1)
+windows, statics = rng.normal((300, 4, 8)), rng.normal((300, 8))
+a = np.random.default_rng(0).normal(size=(512, 512))
+a @ a
+model.predict(windows, statics)
+start = time.process_time()
+time.sleep(0.2)
+print(time.process_time() - start)
+"""
+
+
+def _can_stop_helpers():
+    return _can_run_workers() and openblas_threads()[2] is not None
+
+
+class TestBlasHelpers:
+    @pytest.mark.skipif(not _can_stop_helpers(), reason="needs OpenBLAS's helper stop")
+    def test_no_helper_spins_after_a_parallel_predict(self):
+        """A 512x512 GEMM on two OpenBLAS threads leaves the helper
+        busy-waiting, about 0.1 s of CPU; a parallel predict right after
+        it stops the helper, and restoring the thread count does not
+        start it spinning again, so a 0.2 s sleep then costs almost no
+        CPU.  The probe runs in a fresh process, at OpenBLAS's default
+        thread count."""
+        src = os.path.dirname(os.path.dirname(tensor.__file__))
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ, PYTHONPATH=src if not path else src + os.pathsep + path)
+        env.pop("OPENBLAS_NUM_THREADS", None)
+        done = subprocess.run(
+            [sys.executable, "-c", _SPIN_PROBE],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert float(done.stdout) < 0.05, done.stdout
+
+    @needs_workers
+    def test_helpers_stop_only_on_the_only_python_thread(self, monkeypatch):
+        """The helpers are stopped before the workers start and after the
+        count is restored, but not while another Python thread could be
+        inside OpenBLAS, nor when the count was already 1."""
+        get, put, _ = openblas_threads()
+        stops = []
+        monkeypatch.setattr(
+            tensor, "openblas_threads", lambda: (get, put, lambda: stops.append(get()))
+        )
+        model = build_model(small_spec(BASELINE_LSTM), SeededRng(29))
+        windows, statics = small_inputs(model.spec, batch=300)
+        before = get()
+        put(2)
+        try:
+            idle = threading.Event()
+            other = threading.Thread(target=idle.wait)
+            other.start()
+            try:
+                model.predict(windows, statics)
+            finally:
+                idle.set()
+                other.join()
+            assert stops == [] and get() == 2
+            if threading.active_count() == 1:
+                model.predict(windows, statics)
+                assert stops == [1, 2] and get() == 2
+            put(1)
+            stops.clear()
+            model.predict(windows, statics)
+            assert stops == [] and get() == 1
+        finally:
+            put(before)
 
 
 class TestArena:

@@ -303,8 +303,9 @@ class TestTrainModel:
     def test_training_bits_do_not_depend_on_blas_threads(self, kind, window_len):
         """One epoch at the models' real widths, where OpenBLAS splits
         the larger GEMMs over two threads, steps the arena to the bits
-        it reaches on one thread, so holding OpenBLAS at one thread
-        changes no trained weight."""
+        it reaches on one thread, so neither OPENBLAS_NUM_THREADS nor
+        the one thread the two-core runner holds it to while the test
+        pass runs changes a trained weight."""
         rng = SeededRng(5)
         windows = rng.normal((320, window_len, 8))
         statics = rng.normal((320, 8))
@@ -312,7 +313,8 @@ class TestTrainModel:
         train = (windows[:256], statics[:256], y[:256])
         test = (windows[256:], statics[256:], y[256:])
         spec = ModelSpec(kind, input_features=8, window_len=window_len)
-        _, put = openblas_threads()
+        get, put, _ = openblas_threads()
+        before = get()
         arenas = []
         try:
             for count in (2, 1):
@@ -321,7 +323,7 @@ class TestTrainModel:
                 train_model(model, TrainConfig(epochs=1, batch_size=64), train, test)
                 arenas.append(model.arena()[0])
         finally:
-            put(1)
+            put(before)
         np.testing.assert_array_equal(arenas[0], arenas[1])
 
     def test_seed_changes_trajectory(self):
