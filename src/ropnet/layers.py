@@ -290,9 +290,17 @@ def dropout_apply(x, rate, rng=None, training=False, tape=None):
     return tape.record((x,), y, lambda d: (d * keep * scale,))
 
 
+def _mean(x, axis):
+    # the bits of x.mean(axis, keepdims=True), without its Python wrappers
+    return np.add.reduce(x, axis, keepdims=True) / x.shape[axis]
+
+
 class LayerNorm(Module):
     """Normalization over ``AXIS``, then learned gain and bias.
 
+    The moments come from one centred copy of the input: its mean over
+    ``AXIS``, then the mean of that copy's squares, with the bits of
+    ``np.mean`` and ``np.var``; the copy is then normalized in place.
     ``_normalize`` holds the one forward and backward; a subclass only
     chooses the statistics it passes in.
     """
@@ -305,15 +313,15 @@ class LayerNorm(Module):
         self.bias = Param(f"{name}.bias", np.zeros(dim))
 
     def forward(self, x, tape=None):
-        mu = x.mean(axis=self.AXIS, keepdims=True)
-        var = x.var(axis=self.AXIS, keepdims=True)
-        return self._normalize(x, mu, var, tape)
+        xc = x - _mean(x, self.AXIS)
+        return self._normalize(x, xc, _mean(xc * xc, self.AXIS), tape)
 
-    def _normalize(self, x, mu, var, tape, fixed_stats=False):
-        # unless fixed_stats, the backward differentiates through mu and
-        # var as the moments of x over AXIS
+    def _normalize(self, x, xc, var, tape, fixed_stats=False):
+        # xc is x centred, a fresh array this call may overwrite; unless
+        # fixed_stats, the backward differentiates through the centring
+        # and var as the moments of x over AXIS
         inv = 1.0 / np.sqrt(var + self.eps)
-        xhat = x - mu
+        xhat = xc
         xhat *= inv
         y = xhat * self.gain.value
         y += self.bias.value
@@ -328,8 +336,8 @@ class LayerNorm(Module):
             dxhat = d * gain.value
             if fixed_stats:
                 return (dxhat * inv,)
-            m1 = dxhat.mean(axis=axis, keepdims=True)
-            m2 = (dxhat * xhat).mean(axis=axis, keepdims=True)
+            m1 = _mean(dxhat, axis)
+            m2 = _mean(dxhat * xhat, axis)
             return (inv * (dxhat - m1 - xhat * m2),)
 
         return tape.record((x,), y, bwd)
@@ -362,16 +370,18 @@ class BatchNorm1d(LayerNorm):
     def forward(self, x, tape=None, training=False):
         if not training:
             return self._normalize(
-                x, self.running_mean, self.running_var, tape, fixed_stats=True
+                x, x - self.running_mean, self.running_var, tape, fixed_stats=True
             )
         if x.shape[0] < 2:
             raise DegenerateBatchError(
                 "batch statistics are undefined for a single-sample batch"
             )
-        mu, var = x.mean(axis=self.AXIS), x.var(axis=self.AXIS)
-        self.running_mean += self.momentum * (mu - self.running_mean)
-        self.running_var += self.momentum * (var - self.running_var)
-        return self._normalize(x, mu, var, tape)
+        mu = _mean(x, self.AXIS)
+        xc = x - mu
+        var = _mean(xc * xc, self.AXIS)
+        self.running_mean += self.momentum * (mu[0] - self.running_mean)
+        self.running_var += self.momentum * (var[0] - self.running_var)
+        return self._normalize(x, xc, var, tape)
 
 
 class LstmStack(Module):
@@ -390,7 +400,12 @@ class LstmStack(Module):
     [4H], with row blocks in the order i, f, o, g.  One ``x @ W.T``
     projects the whole sequence before the time loop (a [B, T, 4H]
     buffer, small because ``Model.predict`` bounds B); each step adds
-    ``h @ U.T`` and ``b`` and applies all four gates in one pass.
+    ``h @ U.T`` and ``b`` and applies all four gates in one pass.  The
+    first step does not touch the all-zero initial state: it takes
+    ``xw + 0.0`` and ``i * g + 0.0``, the exact values of ``(+0) + xw``
+    and ``f * (+0) + i * g``, signed zeros included (the product of a
+    zero state is +0, and f >= +0).  Each step writes ``o * tanh(c)``
+    straight into its row of the output, which the next step reads as h.
     ``params()`` lists per-gate ``Param``s (``W_i``, ...) whose values
     and gradients are row-block views of the stacked ones; checkpoints
     store them one by one, while ``storage()`` lists the stacked ones.
@@ -407,6 +422,9 @@ class LstmStack(Module):
         self.hidden_size = hidden_size
         self.num_layers = num_layers
         H = hidden_size
+        # _scaled_tanh's sigmoid on the i, f, o blocks, tanh on g
+        self.gate_scale = np.repeat([0.5, 1.0], [3 * H, H])
+        self.gate_shift = np.repeat([0.5, -0.0], [3 * H, H])
         self.stacked = []  # per layer: W, U, b
         for layer in range(num_layers):
             in_dim = input_size if layer == 0 else H
@@ -439,24 +457,22 @@ class LstmStack(Module):
         Wp, Up, bp = self.stacked[3 * layer : 3 * layer + 3]
         W, U, b = Wp.value, Up.value, bp.value
         xw = (x.reshape(B * T, D) @ W.T).reshape(B, T, 4 * H)
-        # sigmoid on the i, f, o blocks, tanh on g
-        scale = np.repeat([0.5, 1.0], [3 * H, H])
-        shift = np.repeat([0.5, -0.0], [3 * H, H])
-        h = np.zeros((B, H))
         c = np.zeros((B, H))
         hs = np.empty((B, T, H))
         cache = []
         for t in range(T):
-            a = h @ U.T
-            a += xw[:, t]
+            if t:
+                a = h @ U.T
+                a += xw[:, t]
+            else:  # the zero state, with its bits (see the class docstring)
+                a = xw[:, 0] + 0.0
             a += b
-            _scaled_tanh(a, scale, shift)
+            _scaled_tanh(a, self.gate_scale, self.gate_shift)
             i, f, o, g = a[:, :H], a[:, H : 2 * H], a[:, 2 * H : 3 * H], a[:, 3 * H :]
             c_prev = c
-            c = f * c_prev + i * g
+            c = f * c_prev + i * g if t else i * g + 0.0
             tanh_c = np.tanh(c)
-            h = o * tanh_c
-            hs[:, t, :] = h
+            h = np.multiply(o, tanh_c, out=hs[:, t])
             if tape is not None:
                 cache.append((c_prev, i, f, o, g, tanh_c))
         if tape is None:

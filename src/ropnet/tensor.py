@@ -192,9 +192,10 @@ def softmax_last_axis(x: np.ndarray) -> np.ndarray:
     exponent is exp(0).
     """
     x = np.asarray(x, dtype=np.float64)
-    shifted = x - np.max(x, axis=-1, keepdims=True)
+    # the reductions np.max and np.sum make, without their Python wrappers
+    shifted = x - np.maximum.reduce(x, axis=-1, keepdims=True)
     e = np.exp(shifted)
-    return e / np.sum(e, axis=-1, keepdims=True)
+    return e / np.add.reduce(e, axis=-1, keepdims=True)
 
 
 class SeededRng:

@@ -272,6 +272,134 @@ class TestLstmInputProjection:
             x = got
 
 
+def _same_bits(got, want):
+    # tobytes() tells -0.0 from +0.0, which == does not
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def _lstm_zero_state_loop(stack, layer, x):
+    """One layer forming h @ U.T and f * c_prev + i * g at every step,
+    the zero initial state included, with the layer's own projection
+    and gate functions: the values its forward must match bit for bit."""
+    W, U, b = (p.value for p in stack.stacked[3 * layer : 3 * layer + 3])
+    B, T, D = x.shape
+    H = stack.hidden_size
+    xw = (x.reshape(B * T, D) @ W.T).reshape(B, T, 4 * H)
+    scale = np.repeat([0.5, 1.0], [3 * H, H])
+    shift = np.repeat([0.5, -0.0], [3 * H, H])
+    h, c, hs = np.zeros((B, H)), np.zeros((B, H)), np.empty((B, T, H))
+    for t in range(T):
+        a = h @ U.T
+        a += xw[:, t]
+        a += b
+        _scaled_tanh(a, scale, shift)
+        i, f, o, g = a[:, :H], a[:, H : 2 * H], a[:, 2 * H : 3 * H], a[:, 3 * H :]
+        c = f * c + i * g
+        h = o * np.tanh(c)
+        hs[:, t, :] = h
+    return hs
+
+
+class TestLstmBits:
+    """The forward skips the zero state's products but keeps their bits."""
+
+    @pytest.mark.parametrize("T", [1, 4, 16])
+    @pytest.mark.parametrize("B", [1, 3, 64, 128])
+    @pytest.mark.parametrize("record", [False, True], ids=["predict", "train"])
+    def test_layer_forward_matches_zero_state_loop(self, T, B, record):
+        rng = SeededRng(100 * T + B)
+        stack = LstmStack(8, 64, 2, rng)
+        x = rng.normal((B, T, 8))
+        for layer in range(stack.num_layers):
+            got = stack.layer_forward(layer, x, GradTape() if record else None)
+            _same_bits(got, _lstm_zero_state_loop(stack, layer, x))
+            x = got
+
+    def test_saturated_first_step_keeps_positive_zero(self):
+        """i = +0 and g < 0 make a bare i * g -0.0; f * (+0) + i * g is +0.0."""
+        rng = SeededRng(7)
+        stack = LstmStack(8, 64, 1, rng)
+        H = stack.hidden_size
+        b = stack.stacked[2].value
+        b[:H] = -100.0
+        b[3 * H :] = -5.0
+        x = 0.1 * rng.normal((3, 4, 8))
+        want = _lstm_zero_state_loop(stack, 0, x)
+        assert not np.any(want) and not np.any(np.signbit(want))
+        for tape in (None, GradTape()):
+            _same_bits(stack.layer_forward(0, x, tape), want)
+
+
+def _normalize_with_means(norm, x, mu, var, d, fixed_stats=False):
+    """Forward and backward of a norm layer from the given moments, with
+    the means of ndarray.mean: (y, dx, dgain, dbias)."""
+    inv = 1.0 / np.sqrt(var + norm.eps)
+    xhat = x - mu
+    xhat *= inv
+    y = xhat * norm.gain.value
+    y += norm.bias.value
+    lead = tuple(range(d.ndim - 1))
+    dxhat = d * norm.gain.value
+    if fixed_stats:
+        dx = dxhat * inv
+    else:
+        m1 = dxhat.mean(axis=norm.AXIS, keepdims=True)
+        m2 = (dxhat * xhat).mean(axis=norm.AXIS, keepdims=True)
+        dx = inv * (dxhat - m1 - xhat * m2)
+    return y, dx, (d * xhat).sum(axis=lead), d.sum(axis=lead)
+
+
+def _check_norm_bits(norm, x, want, **kw):
+    d = SeededRng(5).normal(x.shape)
+    tape = GradTape()
+    y = norm.forward(x, tape, **kw)
+    tape.backward(d)
+    for got, ref in zip((y, tape.input_grad(x), norm.gain.grad, norm.bias.grad), want(d)):
+        _same_bits(got, ref)
+
+
+class TestNormBits:
+    """LayerNorm and BatchNorm1d give the bits of np.mean and np.var."""
+
+    @pytest.mark.parametrize("B", [1, 3, 64])
+    def test_layer_norm(self, B):
+        rng = SeededRng(B)
+        ln = LayerNorm(64, "ln")
+        ln.gain.value, ln.bias.value = rng.normal(64), rng.normal(64)
+        x = 3.0 * rng.normal((B, 4, 64)) + 1.0
+        mu, var = x.mean(axis=-1, keepdims=True), x.var(axis=-1, keepdims=True)
+        _check_norm_bits(ln, x, lambda d: _normalize_with_means(ln, x, mu, var, d))
+
+    @pytest.mark.parametrize("B", [2, 3, 64])
+    def test_batch_norm_training(self, B):
+        rng = SeededRng(B)
+        bn = BatchNorm1d(16, "bn")
+        bn.gain.value, bn.bias.value = rng.normal(16), rng.normal(16)
+        bn.running_mean[:], bn.running_var[:] = rng.normal(16), rng.uniform(16, 0.5, 2.0)
+        x = 3.0 * rng.normal((B, 16)) + 1.0
+        mu, var = x.mean(axis=0), x.var(axis=0)
+        rm = bn.running_mean + 0.1 * (mu - bn.running_mean)
+        rv = bn.running_var + 0.1 * (var - bn.running_var)
+        _check_norm_bits(
+            bn, x, lambda d: _normalize_with_means(bn, x, mu, var, d), training=True
+        )
+        _same_bits(bn.running_mean, rm)
+        _same_bits(bn.running_var, rv)
+
+    @pytest.mark.parametrize("B", [1, 3, 64])
+    def test_batch_norm_inference(self, B):
+        rng = SeededRng(B)
+        bn = BatchNorm1d(16, "bn")
+        bn.gain.value, bn.bias.value = rng.normal(16), rng.normal(16)
+        bn.running_mean[:], bn.running_var[:] = rng.normal(16), rng.uniform(16, 0.5, 2.0)
+        x = 3.0 * rng.normal((B, 16)) + 1.0
+        mu, var = bn.running_mean.copy(), bn.running_var.copy()
+        _check_norm_bits(
+            bn, x, lambda d: _normalize_with_means(bn, x, mu, var, d, fixed_stats=True)
+        )
+
+
 class TestLayerNormProperties:
     def test_normalized_rows_have_zero_mean_unit_var(self):
         """Before gain/bias: per-position mean < 1e-9, variance ~ 1.

@@ -27,6 +27,13 @@ class TestSoftmax:
                 s[row], softmax_loop(x[row]), rtol=0, atol=1e-12
             )
 
+    @pytest.mark.parametrize("shape", [(1, 4), (3, 7), (64, 4, 4, 4)])
+    def test_bits_of_max_and_sum(self, shape):
+        x = np.random.default_rng(5).normal(size=shape) * 30.0
+        e = np.exp(x - np.max(x, axis=-1, keepdims=True))
+        want = e / np.sum(e, axis=-1, keepdims=True)
+        assert softmax_last_axis(x).tobytes() == want.tobytes()
+
 
 class TestSeededRng:
     def test_equal_seeds_equal_streams(self):
