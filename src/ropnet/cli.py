@@ -94,7 +94,7 @@ def parse_config(path: str | None) -> RunConfig:
     try:
         with open(path, "r", encoding="utf-8") as f:
             lines = f.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigurationError(f"cannot read config {path}: {exc}") from exc
     for line_no, line in enumerate(lines, start=1):
         text = line.split("#", 1)[0].strip()

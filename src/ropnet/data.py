@@ -282,9 +282,11 @@ class SyntheticSpec:
             raise ConfigurationError(
                 f"synthetic spec needs at least 100 rows, got {self.n_rows}"
             )
-        if self.noise_sigma < 0:
+        # the truth's Bayes MSE is its square
+        if not (self.noise_sigma >= 0 and math.isfinite(self.noise_sigma * self.noise_sigma)):
             raise ConfigurationError(
-                f"noise sigma must be non-negative, got {self.noise_sigma}"
+                f"noise sigma must be non-negative with a finite square, "
+                f"got {self.noise_sigma}"
             )
         if self.regime_count < 1:
             raise ConfigurationError(

@@ -71,10 +71,11 @@ def permutation_importance(
 
     Every permutation is drawn up front and applied to its own fresh
     copy of the inputs, so ``on_both_cores`` can score the shuffles two
-    at a time and still give the bits of a serial loop.  Scores can be
-    slightly negative for irrelevant features (shuffle noise); they are
-    reported as computed.  An MSE or importance that overflows float64
-    is an error.
+    at a time and still give the bits of a serial loop.  Each shuffle's
+    predict then finds the runner taken and runs its slices on its
+    worker.  Scores can be slightly negative for irrelevant features
+    (shuffle noise); they are reported as computed.  An MSE or
+    importance that overflows float64 is an error.
     """
     n = windows.shape[0]
     if n < 2:

@@ -102,6 +102,28 @@ class ModelSpec:
                 f"heads {self.heads}"
             )
 
+    def state_size(self) -> int:
+        """float64 values in a built model's ``state_arrays()``, counted
+        without building one; it follows ``Model._build``."""
+        F, H = self.input_features, self.lstm_hidden
+
+        def linears(widths):  # weights and biases of a chain of Linears
+            return sum((a + 1) * b for a, b in zip(widths, widths[1:]))
+
+        if self.kind == TS_MIXER:
+            # each hidden layer's batch norm adds gain, bias and two running moments
+            widths = [F] + [self.mixer_hidden] * 5
+            return linears(widths + [1]) + 4 * self.mixer_hidden * 5
+        n = 4 * H * (F + H + 1) + (self.lstm_layers - 1) * 4 * H * (2 * H + 1)
+        if self.kind == BASELINE_LSTM:
+            return n + linears([H, 1])
+        if self.kind == ADVANCED_HYBRID:
+            # Q, K, V and O, the feedforward pair and two layer norms
+            n += 4 * H * H + linears([H, self.ffn_dim, H]) + 4 * H
+        if self.kind in (HYBRID_LSTM_MIXER_ATTENTION, ADVANCED_HYBRID):
+            n += H
+        return n + linears([F, *self.branch_dims]) + linears([H + self.branch_dims[-1], 1])
+
 
 class Model(Module):
     """A built architecture: owns layers, exposes forward and predict.
@@ -205,9 +227,11 @@ class Model(Module):
         """Inference in slices of min(batch_size, PREDICT_SLICE) rows; flat [N].
 
         The slices run through ``on_both_cores``: on two worker threads
-        where that can help, else one after another on the calling
-        thread.  Both ways cut the same slices, so the predictions do
-        not depend on the CPU count or on BLAS control.
+        where that can help and no other run is under way, else one
+        after another on the calling thread, as in a predict from inside
+        another run's worker.  Both ways cut the same slices, so the
+        predictions do not depend on the CPU count, on BLAS control or
+        on other runs.
         """
         if batch_size < 1:
             raise RangeError(f"batch_size must be at least 1, got {batch_size}")

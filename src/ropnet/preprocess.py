@@ -2,9 +2,9 @@
 
 Fit order matters and is leak-free: the window-index split is decided
 first (it needs only the row count), then every statistic (imputation
-fills, one-hot vocabularies, scaler moments, outlier fences) is fitted
-on training rows only, where the training rows are the final rows of
-training windows.  All rows are then windowed by ``transform``, the
+fills, one-hot vocabularies, scaler moments) is fitted on training
+rows only, where the training rows are the final rows of training
+windows.  All rows are then windowed by ``transform``, the
 same function that scores new data, and the windows are split.
 
 Scaling uses the population standard deviation.  One-hot columns pass
@@ -262,7 +262,6 @@ class PreparedData:
     test_y: np.ndarray
     train_y_raw: np.ndarray
     test_y_raw: np.ndarray
-    outliers: dict[str, OutlierReport]
 
 
 def transform_target(state: PreprocessorState, y: np.ndarray) -> np.ndarray:
@@ -326,22 +325,17 @@ def fit_pipeline(dataset, window_len: int = 1) -> tuple[PreprocessorState, Prepa
 
     windows, statics, y_w_raw = transform(dataset, state)
     tr, te = split.train, split.test
-    train_statics = statics[tr]
     prepared = PreparedData(
         feature_names=list(state.feature_names),
         split=split,
         train_windows=windows[tr],
-        train_statics=train_statics,
+        train_statics=statics[tr],
         train_y=transform_target(state, y_w_raw[tr]),
         test_windows=windows[te],
         test_statics=statics[te],
         test_y=transform_target(state, y_w_raw[te]),
         train_y_raw=y_w_raw[tr],
         test_y_raw=y_w_raw[te],
-        outliers={
-            name: iqr_outlier_report(train_statics[:, j])
-            for j, name in enumerate(state.feature_names)
-        },
     )
     return state, prepared
 

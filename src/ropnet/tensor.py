@@ -6,7 +6,8 @@ the one kernel here is a numerically stable softmax.  On glibc,
 ``on_both_cores`` runs independent work items, predict's slices and
 explain's shuffles, on two worker threads with OpenBLAS held to one
 thread, and its idle helper threads stopped, while they run
-(``openblas_threads``, ``one_blas_thread``).
+(``openblas_threads``); a call that finds a run under way runs its
+items on its own thread.
 
 Randomness comes from :class:`SeededRng`, a SplitMix64 counter
 generator.  The algorithm is fixed and documented here rather than
@@ -31,7 +32,6 @@ import os
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
 
 import numpy as np
 
@@ -56,20 +56,8 @@ _OPENBLAS_PREFIXES = ("scipy_openblas", "openblas")
 _OPENBLAS_SUFFIXES = ("64_", "")
 _OPENBLAS_STOP = "blas_thread_shutdown_"
 
-# Runs on both cores take turns under the lock, so each restores the
-# OpenBLAS thread count it found; a child forked mid-run starts with a
-# fresh one.  Runs nested in a marked worker thread stay serial.
+# held by the one run on both cores; see on_both_cores
 _lock = threading.Lock()
-_worker = threading.local()
-
-
-def _fresh_lock():
-    global _lock
-    _lock = threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_fresh_lock)
 
 
 def _pin_heap_thresholds():
@@ -132,55 +120,45 @@ def openblas_threads():
     return None
 
 
-@contextmanager
-def one_blas_thread(control):
-    """Hold OpenBLAS to one thread for the whole process, then restore.
+def on_both_cores(fn, items) -> list:
+    """``[fn(item) for item in items]``, on two worker threads made for
+    this call, with OpenBLAS held to one thread while they run.
 
-    ``control`` is ``openblas_threads()``.  The count is shared by
-    every thread, so callers that may overlap take turns under a lock.
+    Only the call that takes the lock runs on the workers.  A call that
+    finds it taken (from a worker, from another thread, or in a child
+    forked mid-run, whose copy stays taken) runs its items one after
+    another on its own thread and leaves OpenBLAS alone, as does a call
+    with fewer than two items, without OpenBLAS control or without two
+    usable CPUs.  On the workers, an item's error reaches the caller
+    only after every item has finished.
 
     After a GEMM split over two threads, OpenBLAS's helper busy-waits
     for about 0.1 s (2-core x86-64), and lowering the count does not
     end that, so where the count was above 1 the helpers are stopped
     before the run and again after the restore, which starts them
-    spinning; the next multi-threaded GEMM starts them again.  Only the
-    process's only Python thread stops them: stopping them while
-    another thread is inside OpenBLAS could hang both.
+    spinning.  Only the process's only Python thread stops them:
+    stopping them while another thread is inside OpenBLAS could hang
+    both.
     """
-    get, put, stop = control
+    blas = openblas_threads() if len(items) > 1 else None
+    if blas is None or len(os.sched_getaffinity(0)) < 2 or not _lock.acquire(blocking=False):
+        return [fn(item) for item in items]
+    get, put, stop = blas
     before = get()
     if before < 2 or threading.active_count() > 1:
         stop = None
-    put(1)
-    if stop is not None:
-        stop()
     try:
-        yield
+        put(1)
+        if stop is not None:
+            stop()
+        # leaving the pool waits for every item, before BLAS gets its threads back
+        with ThreadPoolExecutor(2) as pool:
+            futures = [pool.submit(fn, item) for item in items]
     finally:
         put(before)
         if stop is not None and threading.active_count() == 1:
             stop()
-
-
-def on_both_cores(fn, items) -> list:
-    """``[fn(item) for item in items]``, on two worker threads made for
-    this call, with OpenBLAS held to one thread while they run
-    (``one_blas_thread``).
-
-    The items run one after another on the calling thread instead when
-    there are fewer than two, without OpenBLAS control or two usable
-    CPUs, and in a call from one of the workers, which would wait
-    forever on the lock its own caller holds.  On the workers, an
-    item's error reaches the caller only after every item has finished.
-    """
-    nested = getattr(_worker, "active", False)
-    blas = openblas_threads() if len(items) > 1 and not nested else None
-    if blas is None or len(os.sched_getaffinity(0)) < 2:
-        return [fn(item) for item in items]
-    mark = dict(initializer=setattr, initargs=(_worker, "active", True))
-    # leaving the pool waits for every item, before BLAS gets its threads back
-    with _lock, one_blas_thread(blas), ThreadPoolExecutor(2, **mark) as pool:
-        futures = [pool.submit(fn, item) for item in items]
+        _lock.release()
     return [future.result() for future in futures]
 
 

@@ -288,6 +288,13 @@ def load_checkpoint(path) -> tuple[Model, PreprocessorState | None]:
                     f"{prepared[1]} features; the model expects {expected[0]} "
                     f"rows and {expected[1]} features"
                 )
+        # a corrupt width or layer count must not size the model's arrays
+        need, left = spec.state_size(), os.fstat(f.fileno()).st_size - f.tell()
+        if need > left // 8:
+            raise CorruptCheckpointError(
+                f"checkpoint is missing arrays: the header's model holds {need} "
+                f"float64 values, but only {left} bytes follow the header"
+            )
 
         model = build_model(spec, SeededRng(0))
         arrays = dict(model.state_arrays())

@@ -226,6 +226,9 @@ class TestTrain:
             ("compare", "train.lr", "-1"),
             ("compare", "train.epochs", "0"),
             ("gen-data", "data.synthetic.n_rows", "5"),
+            ("gen-data", "data.synthetic.noise_sigma", "1e200"),
+            ("train", "data.synthetic.noise_sigma", "1e200"),
+            ("compare", "data.synthetic.noise_sigma", "1e200"),
         ],
     )
     def test_bad_run_config_exits_2_without_out_dir(
@@ -602,6 +605,21 @@ class TestEval:
         argv = ["eval", "--checkpoint", str(bad), "--data", str(pipeline["csv"])]
         assert main(argv + ["--out", str(out)]) == 3
         assert "unreadable checkpoint header" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_header_model_larger_than_the_file_exits_3(self, pipeline, tmp_path, capsys):
+        """lstm_hidden = 10**6 in a small checkpoint's header would ask
+        for 29 TiB; the bytes after the header hold far fewer values."""
+        _, state = load_checkpoint(pipeline["ckpt"])
+        spec = ModelSpec(kind="baseline_lstm", input_features=len(state.feature_names),
+                         window_len=state.window_len, lstm_hidden=4, lstm_layers=1, heads=1)
+        ckpt = tmp_path / "small.roph"
+        save_checkpoint(ckpt, build_model(spec, SeededRng(0)), state)
+        bad = rewrite_header(ckpt, tmp_path / "bad.roph", "model_spec", lstm_hidden=10**6)
+        out = tmp_path / "out"
+        argv = ["predict", "--checkpoint", str(bad), "--data", str(pipeline["csv"])]
+        assert main(argv + ["--out", str(out)]) == 3
+        assert "float64 values" in capsys.readouterr().err
         assert not out.exists()
 
     def test_column_named_twice_exits_3(self, pipeline, tmp_path, capsys):
@@ -1026,3 +1044,11 @@ class TestArgumentSurface:
         )
         assert rc == 2
         assert "cannot read" in capsys.readouterr().err
+
+    def test_config_that_is_not_utf8_exits_2_naming_it(self, tmp_path, capsys):
+        cfg = tmp_path / "utf16.cfg"
+        cfg.write_bytes("\ufefftrain.epochs = 1\n".encode("utf-16-le"))  # starts ff fe
+        out = tmp_path / "out"
+        assert main(["gen-data", "--config", str(cfg), "--out", str(out)]) == 2
+        assert f"cannot read config {cfg}" in capsys.readouterr().err
+        assert not out.exists()

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 import os
 from unittest import mock
 
@@ -352,6 +353,14 @@ class TestSyntheticSpecValidation:
         with pytest.raises(ConfigurationError):
             SyntheticSpec(noise_sigma=-1.0)
         assert SyntheticSpec(noise_sigma=0.0).noise_sigma == 0.0
+
+    @pytest.mark.parametrize("sigma", [1e200, 1.5e154, math.inf, math.nan])
+    def test_noise_without_a_finite_square_rejected(self, sigma):
+        """The truth's Bayes MSE is sigma squared, which must not
+        overflow float64."""
+        with pytest.raises(ConfigurationError, match="finite square"):
+            SyntheticSpec(noise_sigma=sigma)
+        assert SyntheticSpec(noise_sigma=1e154).noise_sigma == 1e154
 
     def test_regime_count_floor(self):
         with pytest.raises(ConfigurationError):

@@ -324,6 +324,31 @@ def _record_threads(model, monkeypatch, before_slice=None):
     return threads
 
 
+needs_fork = pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(), reason="needs fork"
+)
+
+
+def _forked_predict(model, windows, statics):
+    """``model.predict`` run in a child forked from this thread."""
+    ctx = multiprocessing.get_context("fork")
+    receiver, sender = ctx.Pipe(duplex=False)
+    with warnings.catch_warnings():
+        # newer Pythons warn about forking a process that has threads
+        warnings.simplefilter("ignore", DeprecationWarning)
+        proc = ctx.Process(target=lambda: sender.send(model.predict(windows, statics)))
+        proc.start()
+    try:
+        assert receiver.poll(60), "predict in the forked child hung"
+        got = receiver.recv()
+    finally:
+        if proc.is_alive():
+            proc.kill()
+        proc.join(timeout=60)
+    assert not proc.is_alive()
+    return got
+
+
 class TestParallelPredict:
     @pytest.mark.parametrize("window_len", [4, 16])
     @pytest.mark.parametrize("kind", MODEL_KINDS)
@@ -403,11 +428,12 @@ class TestParallelPredict:
         assert sorted(finished) == [104] + [128] * 6
 
     @needs_workers
-    def test_concurrent_callers_take_turns_with_blas(self):
+    def test_concurrent_callers_run_serially_while_the_runner_is_busy(self):
         """Four threads predicting at once, on two cores, with thread
-        switches forced often: every result is exact, and the BLAS
-        thread count ends where it began, which a caller that read
-        another's 1 as its own count to restore would break."""
+        switches forced often: a caller that finds another's run under
+        way runs its slices on its own thread, so every result is exact,
+        and only the run holding the lock sets and restores the BLAS
+        thread count, which ends where it began."""
         model = build_model(small_spec(HYBRID_LSTM_MIXER_ATTENTION), SeededRng(27))
         windows, statics = small_inputs(model.spec, batch=300)
         want = model.predict(windows, statics)
@@ -436,9 +462,36 @@ class TestParallelPredict:
         assert get() == before
 
     @needs_workers
-    @pytest.mark.skipif(
-        "fork" not in multiprocessing.get_all_start_methods(), reason="needs fork"
-    )
+    def test_a_call_that_finds_the_runner_taken_stays_on_its_thread(self, monkeypatch):
+        """With the runner's lock held elsewhere, a 1,000-row predict
+        runs all 8 slices on its own thread at once, without waiting for
+        the lock, and leaves OpenBLAS's thread count as it found it."""
+        model = build_model(small_spec(BASELINE_LSTM), SeededRng(31))
+        windows, statics = small_inputs(model.spec, batch=1000)
+        want = model.predict(windows, statics)
+        get, put, _ = openblas_threads()
+        blas_counts = []
+        threads = _record_threads(model, monkeypatch, lambda w: blas_counts.append(get()))
+        results = []
+        caller = threading.Thread(
+            target=lambda: results.append(model.predict(windows, statics)), daemon=True
+        )
+        original = get()
+        put(2)
+        try:
+            with tensor._lock:
+                caller.start()
+                caller.join(timeout=30)
+                assert not caller.is_alive(), "predict waited for the runner's lock"
+            assert get() == 2
+        finally:
+            put(original)
+        assert threads == [caller.ident] * 8
+        assert blas_counts == [2] * 8
+        np.testing.assert_array_equal(results[0], want)
+
+    @needs_workers
+    @needs_fork
     def test_a_forked_child_starts_workers_of_its_own(self):
         """A child forked after a parallel predict has none of the
         parent's threads and a predict lock nobody holds; its own
@@ -446,25 +499,20 @@ class TestParallelPredict:
         model = build_model(small_spec(BASELINE_LSTM), SeededRng(28))
         windows, statics = small_inputs(model.spec, batch=300)
         want = model.predict(windows, statics)
-        ctx = multiprocessing.get_context("fork")
-        receiver, sender = ctx.Pipe(duplex=False)
+        np.testing.assert_array_equal(_forked_predict(model, windows, statics), want)
 
-        def child():
-            sender.send(model.predict(windows, statics))
-
-        with warnings.catch_warnings():
-            # newer Pythons warn about forking a process that has threads
-            warnings.simplefilter("ignore", DeprecationWarning)
-            proc = ctx.Process(target=child)
-            proc.start()
-        try:
-            assert receiver.poll(60), "predict in the forked child hung"
-            np.testing.assert_array_equal(receiver.recv(), want)
-        finally:
-            if proc.is_alive():
-                proc.kill()
-            proc.join(timeout=60)
-        assert not proc.is_alive()
+    @needs_workers
+    @needs_fork
+    def test_a_child_forked_mid_run_predicts_on_its_own_thread(self):
+        """A child forked while a run holds the lock inherits the lock
+        taken, with no run left to release it; its predict runs the
+        slices on its own thread and gives the parent's bits."""
+        model = build_model(small_spec(BASELINE_LSTM), SeededRng(32))
+        windows, statics = small_inputs(model.spec, batch=300)
+        want = model.predict(windows, statics)
+        with tensor._lock:
+            got = _forked_predict(model, windows, statics)
+        np.testing.assert_array_equal(got, want)
 
     @pytest.mark.parametrize(
         "rows, batch_size", [(1, 1), (32, 256), (128, 256), (128, 4096), (7, 8)]
@@ -625,6 +673,21 @@ class TestStateArrays:
         n_params = len(model.params())
         param_names = {p.name for p in model.params()}
         assert set(names[:n_params]) == param_names
+
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_state_size_counts_without_building(self, kind):
+        """The count a checkpoint header is checked against, for the
+        default widths and for other depths and branch chains."""
+        for spec in (
+            ModelSpec(kind, input_features=8, window_len=4),
+            small_spec(kind),
+            ModelSpec(kind, input_features=3, lstm_hidden=6, lstm_layers=1, heads=3,
+                      ffn_dim=5, mixer_hidden=7, branch_dims=(9,)),
+            ModelSpec(kind, input_features=4, lstm_hidden=4, lstm_layers=3, heads=1,
+                      branch_dims=(5, 4, 3)),
+        ):
+            model = build_model(spec, SeededRng(0))
+            assert spec.state_size() == sum(a.size for _, a in model.state_arrays())
 
     def test_gradient_flows_through_every_parameter(self):
         """One backward touches all trainable arrays of the big model."""

@@ -362,10 +362,6 @@ class TestFitPipeline:
         with pytest.raises(WindowError):
             fit_pipeline(_synthetic(n_rows=100), window_len=101)
 
-    def test_outlier_reports_cover_features(self):
-        state, prep = fit_pipeline(_synthetic(), window_len=1)
-        assert set(prep.outliers) == set(state.feature_names)
-
     def test_state_dict_round_trip(self):
         state, _ = fit_pipeline(_synthetic(), window_len=3)
         again = PreprocessorState.from_dict(asdict(state))

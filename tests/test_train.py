@@ -2,6 +2,7 @@
 
 import ctypes
 import hashlib
+import json
 import os
 import struct
 import subprocess
@@ -638,6 +639,32 @@ class TestCheckpoints:
         raw[at : at + len(packed)] = packed
         path.write_bytes(raw)
         with pytest.raises(CorruptCheckpointError, match=match):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "field, value", [("lstm_hidden", 10**6), ("lstm_hidden", 100), ("lstm_layers", 40)]
+    )
+    def test_header_model_larger_than_the_file_rejected_before_building(
+        self, tmp_path, monkeypatch, field, value
+    ):
+        """A header whose model needs more float64 values than the bytes
+        after it hold is corrupt, found before any array is allocated:
+        lstm_hidden = 10**6 would ask for 29 TiB at once."""
+        spec = ModelSpec(kind=BASELINE_LSTM, input_features=3, lstm_hidden=4, lstm_layers=2)
+        path = tmp_path / "small.roph"
+        save_checkpoint(path, build_model(spec, SeededRng(0)))
+        raw = path.read_bytes()
+        (json_len,) = struct.unpack("<I", raw[8:12])
+        header = json.loads(raw[12 : 12 + json_len])
+        header["model_spec"][field] = value
+        packed = json.dumps(header).encode("utf-8")
+        path.write_bytes(raw[:8] + struct.pack("<I", len(packed)) + packed + raw[12 + json_len :])
+
+        def no_build(*args):
+            raise AssertionError("a model was built from a corrupt header")
+
+        monkeypatch.setattr(train_mod, "build_model", no_build)
+        with pytest.raises(CorruptCheckpointError, match="float64 values"):
             load_checkpoint(path)
 
     def test_duplicate_record_rejected(self, tmp_path):
