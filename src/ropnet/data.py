@@ -282,15 +282,20 @@ class SyntheticSpec:
             raise ConfigurationError(
                 f"synthetic spec needs at least 100 rows, got {self.n_rows}"
             )
-        # the truth's Bayes MSE is its square
-        if not (self.noise_sigma >= 0 and math.isfinite(self.noise_sigma * self.noise_sigma)):
+        # the truth's Bayes MSE is its square, which must be a finite float
+        try:
+            square = float(self.noise_sigma) ** 2
+        except OverflowError:
+            square = math.inf
+        if not (self.noise_sigma >= 0 and math.isfinite(square)):
             raise ConfigurationError(
                 f"noise sigma must be non-negative with a finite square, "
                 f"got {self.noise_sigma}"
             )
-        if self.regime_count < 1:
+        if not 1 <= self.regime_count <= self.n_rows:
             raise ConfigurationError(
-                f"regime count must be at least 1, got {self.regime_count}"
+                f"regime count must be between 1 and the {self.n_rows} rows, "
+                f"got {self.regime_count}"
             )
 
 

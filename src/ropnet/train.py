@@ -15,7 +15,8 @@ Checkpoint layout (all integers little-endian):
   u32         length of a UTF-8 JSON block holding the architecture
               settings and the fitted preprocessor state
   ...         that JSON block
-  then, per persistent array (parameters and running statistics):
+  then one record per array of the model's ``state_arrays()``, in
+  that order, and nothing after the last:
   u32         name length, followed by the UTF-8 name
   u32         rank, then rank u64 extents
   ...         the float64 payload, C order
@@ -222,6 +223,12 @@ def train_model(model: Model, cfg: TrainConfig, train_data, test_data) -> LossCu
     return curve
 
 
+def _record_head(name: str, arr: np.ndarray) -> bytes:
+    """A record's bytes before its payload: name, rank and extents."""
+    b = name.encode("utf-8")
+    return struct.pack(f"<I{len(b)}sI{arr.ndim}Q", len(b), b, arr.ndim, *arr.shape)
+
+
 def save_checkpoint(path, model: Model, preprocessor: PreprocessorState | None = None):
     """Serialize architecture, preprocessor state, and all arrays, array
     by array, through ``replacing``."""
@@ -236,12 +243,7 @@ def save_checkpoint(path, model: Model, preprocessor: PreprocessorState | None =
         f.write(struct.pack("<I", len(payload)))
         f.write(payload)
         for name, arr in model.state_arrays():
-            encoded = name.encode("utf-8")
-            f.write(struct.pack("<I", len(encoded)))
-            f.write(encoded)
-            f.write(struct.pack("<I", arr.ndim))
-            for extent in arr.shape:
-                f.write(struct.pack("<Q", extent))
+            f.write(_record_head(name, arr))
             f.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
 
 
@@ -256,7 +258,8 @@ def _read_exact(f, count: int) -> bytes:
 
 
 def load_checkpoint(path) -> tuple[Model, PreprocessorState | None]:
-    """Rebuild a model (and preprocessor) exactly as checkpointed."""
+    """Rebuild a model (and preprocessor) exactly as checkpointed: the
+    records must be its ``state_arrays()`` in order, and nothing after."""
     with open(path, "rb") as f:
         magic = f.read(len(CHECKPOINT_MAGIC))
         if magic != CHECKPOINT_MAGIC:
@@ -297,34 +300,12 @@ def load_checkpoint(path) -> tuple[Model, PreprocessorState | None]:
             )
 
         model = build_model(spec, SeededRng(0))
-        arrays = dict(model.state_arrays())
-        seen = set()
-        # Each field is checked against the model before the next one
-        # is read, so a corrupt rank or extent never sizes an allocation.
-        while True:
-            sizes = f.read(4)
-            if not sizes:
-                break
-            if len(sizes) != 4:
-                raise CorruptCheckpointError("truncated record header")
-            (name_len,) = struct.unpack("<I", sizes)
-            name = _read_exact(f, name_len).decode("utf-8", "replace")
-            if name not in arrays:
+        # each head is compared with the model's, so no size comes from the file
+        for name, target in model.state_arrays():
+            head = _record_head(name, target)
+            if _read_exact(f, len(head)) != head:
                 raise CorruptCheckpointError(
-                    f"checkpoint names unknown array {name!r}"
-                )
-            if name in seen:
-                raise CorruptCheckpointError(f"duplicate array {name!r}")
-            target = arrays[name]
-            (rank,) = struct.unpack("<I", _read_exact(f, 4))
-            if rank != target.ndim:
-                raise CorruptCheckpointError(
-                    f"array {name!r} has rank {rank}, expected {target.ndim}"
-                )
-            shape = struct.unpack(f"<{rank}Q", _read_exact(f, 8 * rank))
-            if shape != target.shape:
-                raise CorruptCheckpointError(
-                    f"array {name!r} has shape {shape}, expected "
+                    f"checkpoint record does not hold array {name!r} of shape "
                     f"{target.shape}"
                 )
             values = np.frombuffer(_read_exact(f, 8 * target.size), "<f8")
@@ -332,11 +313,7 @@ def load_checkpoint(path) -> tuple[Model, PreprocessorState | None]:
                 raise CorruptCheckpointError(f"array {name!r} holds non-finite values")
             if name.endswith(".running_var") and (values < 0.0).any():
                 raise CorruptCheckpointError(f"array {name!r} holds negative variances")
-            target[...] = values.reshape(shape)
-            seen.add(name)
-        missing = sorted(set(arrays) - seen)
-        if missing:
-            raise CorruptCheckpointError(
-                f"checkpoint is missing arrays: {missing}"
-            )
+            target[...] = values.reshape(target.shape)
+        if f.read(1):
+            raise CorruptCheckpointError("bytes follow the checkpoint's last array")
     return model, preprocessor

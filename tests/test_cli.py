@@ -229,6 +229,8 @@ class TestTrain:
             ("gen-data", "data.synthetic.noise_sigma", "1e200"),
             ("train", "data.synthetic.noise_sigma", "1e200"),
             ("compare", "data.synthetic.noise_sigma", "1e200"),
+            ("gen-data", "data.synthetic.regime_count", "1000000000000"),
+            ("train", "data.synthetic.regime_count", "1000000000000"),
         ],
     )
     def test_bad_run_config_exits_2_without_out_dir(
@@ -429,7 +431,10 @@ class TestEval:
         raw = bytearray(pipeline["ckpt"].read_bytes())
         (json_len,) = struct.unpack("<I", raw[8:12])
         (name_len,) = struct.unpack("<I", raw[12 + json_len : 16 + json_len])
+        name = raw[16 + json_len : 16 + json_len + name_len].decode()
         extent_at = 16 + json_len + name_len + 4
+        (rank,) = struct.unpack("<I", raw[extent_at - 4 : extent_at])
+        shape = struct.unpack(f"<{rank}Q", raw[extent_at : extent_at + 8 * rank])
         raw[extent_at : extent_at + 8] = struct.pack("<Q", 2**40)
         bad = tmp_path / "huge.roph"
         bad.write_bytes(raw)
@@ -446,7 +451,7 @@ class TestEval:
             ]
         )
         assert rc == 3
-        assert "1099511627776" in capsys.readouterr().err
+        assert f"array {name!r} of shape {shape}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_checkpoint_without_preprocessor_exits_3(self, pipeline, tmp_path, capsys):

@@ -354,7 +354,9 @@ class TestSyntheticSpecValidation:
             SyntheticSpec(noise_sigma=-1.0)
         assert SyntheticSpec(noise_sigma=0.0).noise_sigma == 0.0
 
-    @pytest.mark.parametrize("sigma", [1e200, 1.5e154, math.inf, math.nan])
+    @pytest.mark.parametrize(
+        "sigma", [1e200, 1.5e154, math.inf, math.nan, pytest.param(10**200, id="int")]
+    )
     def test_noise_without_a_finite_square_rejected(self, sigma):
         """The truth's Bayes MSE is sigma squared, which must not
         overflow float64."""
@@ -365,6 +367,14 @@ class TestSyntheticSpecValidation:
     def test_regime_count_floor(self):
         with pytest.raises(ConfigurationError):
             SyntheticSpec(regime_count=0)
+
+    @pytest.mark.parametrize("regimes", [121, 10**12])
+    def test_more_regimes_than_rows_rejected(self, regimes):
+        """Each regime needs a row; 10**12 would ask the generator for
+        7.28 TiB of cut points."""
+        with pytest.raises(ConfigurationError, match="regime count"):
+            SyntheticSpec(n_rows=120, regime_count=regimes)
+        assert SyntheticSpec(n_rows=120, regime_count=120).regime_count == 120
 
 
 class TestGenerator:

@@ -4,6 +4,7 @@ import ctypes
 import hashlib
 import json
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -58,6 +59,21 @@ def _has_glibc_mallopt():
         return False
     libc = ctypes.CDLL(None)
     return hasattr(libc, "gnu_get_libc_version") and hasattr(libc, "mallopt")
+
+
+def _record_spans(raw: bytes):
+    """(start, payload start, end) of each array record in a checkpoint."""
+    (json_len,) = struct.unpack("<I", raw[8:12])
+    spans, at = [], 12 + json_len
+    while at < len(raw):
+        (name_len,) = struct.unpack("<I", raw[at : at + 4])
+        rank_at = at + 4 + name_len
+        (rank,) = struct.unpack("<I", raw[rank_at : rank_at + 4])
+        extents = struct.unpack(f"<{rank}Q", raw[rank_at + 4 : rank_at + 4 + 8 * rank])
+        payload_at = rank_at + 4 + 8 * rank
+        spans.append((at, payload_at, payload_at + 8 * int(np.prod(extents))))
+        at = spans[-1][2]
+    return spans
 
 
 # Gate 07's setup: one warm-up epoch, then the minor page faults of a
@@ -594,19 +610,8 @@ class TestCheckpoints:
         """A file that ends cleanly after too few records is corrupt."""
         _, path = self._trained(tmp_path)
         raw = path.read_bytes()
-        (json_len,) = struct.unpack("<I", raw[8:12])
-        offset = 12 + json_len
         # keep the header and exactly one array record
-        (name_len,) = struct.unpack("<I", raw[offset : offset + 4])
-        rec = offset + 4 + name_len
-        (rank,) = struct.unpack("<I", raw[rec : rec + 4])
-        rec += 4
-        extents = [
-            struct.unpack("<Q", raw[rec + 8 * i : rec + 8 * (i + 1)])[0]
-            for i in range(rank)
-        ]
-        rec += 8 * rank + 8 * int(np.prod(extents))
-        path.write_bytes(raw[:rec])
+        path.write_bytes(raw[: _record_spans(raw)[0][2]])
         with pytest.raises(CorruptCheckpointError, match="missing"):
             load_checkpoint(path)
 
@@ -614,8 +619,8 @@ class TestCheckpoints:
         "field, match",
         [
             ("extent", "shape"),
-            ("rank", "rank"),
-            ("name_length", "truncated"),
+            ("rank", "record"),
+            ("name_length", "record"),
             ("header_length", "truncated"),
         ],
     )
@@ -668,18 +673,48 @@ class TestCheckpoints:
             load_checkpoint(path)
 
     def test_duplicate_record_rejected(self, tmp_path):
-        _, path = self._trained(tmp_path)
+        model, path = self._trained(tmp_path)
         raw = path.read_bytes()
-        (json_len,) = struct.unpack("<I", raw[8:12])
-        first = 12 + json_len
-        (name_len,) = struct.unpack("<I", raw[first : first + 4])
-        rec = first + 4 + name_len
-        (rank,) = struct.unpack("<I", raw[rec : rec + 4])
-        extents = struct.unpack(f"<{rank}Q", raw[rec + 4 : rec + 4 + 8 * rank])
-        end = rec + 4 + 8 * rank + 8 * int(np.prod(extents))
+        first, _, end = _record_spans(raw)[0]
         path.write_bytes(raw[:end] + raw[first:end] + raw[end:])
-        with pytest.raises(CorruptCheckpointError, match="duplicate"):
+        # the copy stands where the model's second array belongs
+        name, arr = model.state_arrays()[1]
+        expected = re.escape(f"array {name!r} of shape {arr.shape}")
+        with pytest.raises(CorruptCheckpointError, match=expected):
             load_checkpoint(path)
+
+    def test_swapped_records_rejected(self, tmp_path):
+        """Records are read in the model's order, not looked up by name,
+        so a file whose records were reordered is corrupt."""
+        model, path = self._trained(tmp_path)
+        raw = path.read_bytes()
+        (a, _, b), (_, _, c) = _record_spans(raw)[:2]
+        path.write_bytes(raw[:a] + raw[b:c] + raw[a:b] + raw[c:])
+        name, arr = model.state_arrays()[0]
+        expected = re.escape(f"array {name!r} of shape {arr.shape}")
+        with pytest.raises(CorruptCheckpointError, match=expected):
+            load_checkpoint(path)
+
+    def test_byte_after_the_last_record_rejected(self, tmp_path):
+        _, path = self._trained(tmp_path)
+        path.write_bytes(path.read_bytes() + b"\0")
+        with pytest.raises(CorruptCheckpointError, match="follow"):
+            load_checkpoint(path)
+
+    def test_every_record_head_byte_flip_rejected(self, tmp_path):
+        """Any single-byte change to a record's name length, name, rank
+        or extents raises, at every byte of every head."""
+        spec = ModelSpec(kind=BASELINE_LSTM, input_features=3, lstm_hidden=4, lstm_layers=1)
+        path = tmp_path / "small.roph"
+        save_checkpoint(path, build_model(spec, SeededRng(0)))
+        raw = path.read_bytes()
+        flipped = tmp_path / "flipped.roph"
+        heads = [i for start, payload, _ in _record_spans(raw) for i in range(start, payload)]
+        assert len(heads) == 440  # 14 records
+        for i in heads:
+            flipped.write_bytes(raw[:i] + bytes([raw[i] ^ 0xFF]) + raw[i + 1 :])
+            with pytest.raises(CheckpointError):
+                load_checkpoint(flipped)
 
     def test_garbage_file_rejected(self, tmp_path):
         path = tmp_path / "noise.roph"
