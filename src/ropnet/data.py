@@ -28,7 +28,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .errors import ConfigurationError, ParseError, SchemaError
+from .errors import ConfigurationError, ParseError, SchemaError, shown
 from .tensor import SeededRng
 
 
@@ -261,6 +261,8 @@ LAG2_COEFFS = _SIGNAL_SCALE * _LAG2_W / _BASE_STDS
 # Calibrated so the irreducible floor sits near R^2 = 0.99 for the
 # default row count and coefficients.
 DEFAULT_NOISE_SIGMA = 2.9
+# The generator's arrays take about 0.4 GB at this many rows.
+MAX_ROWS = 1_000_000
 _TARGET_MEAN_LEVEL = 120.0
 _AR_RHO = 0.6
 # Weak common factor: channels stay cross-correlated (regime shifts
@@ -278,9 +280,10 @@ class SyntheticSpec:
     seed: int = 42
 
     def __post_init__(self):
-        if self.n_rows < 100:
+        if not 100 <= self.n_rows <= MAX_ROWS:
             raise ConfigurationError(
-                f"synthetic spec needs at least 100 rows, got {self.n_rows}"
+                f"synthetic spec needs between 100 and {MAX_ROWS} rows, "
+                f"got {shown(self.n_rows)}"
             )
         # the truth's Bayes MSE is its square, which must be a finite float
         try:
@@ -290,12 +293,12 @@ class SyntheticSpec:
         if not (self.noise_sigma >= 0 and math.isfinite(square)):
             raise ConfigurationError(
                 f"noise sigma must be non-negative with a finite square, "
-                f"got {self.noise_sigma}"
+                f"got {shown(self.noise_sigma)}"
             )
         if not 1 <= self.regime_count <= self.n_rows:
             raise ConfigurationError(
                 f"regime count must be between 1 and the {self.n_rows} rows, "
-                f"got {self.regime_count}"
+                f"got {shown(self.regime_count)}"
             )
 
 
@@ -325,11 +328,8 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[Dataset, dict]:
 
     # Regimes partition the emitted rows; each shifts the channel
     # means and the target level.
-    if spec.regime_count > 1:
-        cuts = np.sort(rng.uniform((spec.regime_count - 1,), 0.2, 0.8))
-        boundaries = np.unique((cuts * n).astype(np.int64))
-    else:
-        boundaries = np.array([], dtype=np.int64)
+    cuts = np.sort(rng.uniform((spec.regime_count - 1,), 0.2, 0.8))
+    boundaries = np.unique((cuts * n).astype(np.int64))
     regime_of_row = np.searchsorted(boundaries, np.arange(n), side="right")
     n_regimes = len(boundaries) + 1
     channel_shift = rng.uniform((n_regimes, n_feat), -1.0, 1.0)

@@ -6,6 +6,15 @@ divergence with 4.
 """
 
 
+def shown(value) -> str:
+    """``value`` as an error message shows it.  An int beyond float range
+    is named by its size, since ``str`` refuses one past 4,300 digits."""
+    if isinstance(value, int) and value.bit_length() > 1024:
+        sign = "negative " if value < 0 else ""
+        return f"a {sign}integer of {value.bit_length()} bits"
+    return f"{value}"
+
+
 class RopnetError(Exception):
     """Base class for every error raised by this package."""
 

@@ -95,9 +95,8 @@ class GradTape:
     def record(self, inputs, output, fn):
         """Register ``output = op(*inputs)`` with backward closure ``fn``.
 
-        ``fn(d_output)`` must return one gradient per input (``None``
-        for inputs that need none) and is responsible for accumulating
-        any parameter gradients itself.
+        ``fn(d_output)`` must return one gradient array per input and
+        is responsible for accumulating any parameter gradients itself.
         """
         self._records.append((tuple(inputs), output, fn))
         return output
@@ -133,8 +132,6 @@ class GradTape:
             if entry is None:
                 continue
             for arr, d in zip(inputs, fn(entry[1])):
-                if d is None:
-                    continue
                 prev = grads.get(id(arr))
                 grads[id(arr)] = (arr, d if prev is None else prev[1] + d)
         self._grads = grads
@@ -411,9 +408,9 @@ class LstmStack(Module):
     store them one by one, while ``storage()`` lists the stacked ones.
 
     The backward pass unrolls these relations in reverse over the full
-    sequence.  ``forward`` runs every layer; ``layer_forward`` exposes a
-    single layer so callers can interleave other operations (e.g.
-    dropout between stacked layers).
+    sequence.  There is no whole-stack forward: ``layer_forward`` runs
+    one layer, and ``Model.forward`` loops over the layers so it can put
+    dropout between them.
     """
 
     GATES = ("i", "f", "o", "g")
@@ -503,13 +500,6 @@ class LstmStack(Module):
             return ((da2 @ W).reshape(x.shape),)
 
         return tape.record((x,), hs, bwd)
-
-    def forward(self, x, tape=None):
-        """All layers in sequence; returns the top layer's hidden states."""
-        h = x
-        for layer in range(self.num_layers):
-            h = self.layer_forward(layer, h, tape)
-        return h
 
 
 class TransformerEncoderBlock(Module):

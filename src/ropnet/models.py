@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DimensionError, RangeError
+from .errors import ConfigurationError, DimensionError, RangeError, shown
 from .layers import (
     AttentionPool,
     FusionHead,
@@ -89,7 +89,7 @@ class ModelSpec:
             raise ConfigurationError("window_len must be at least 1")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigurationError(
-                f"dropout must lie in [0, 1), got {self.dropout}"
+                f"dropout must lie in [0, 1), got {shown(self.dropout)}"
             )
         widths = counts[2:]
         if not self.branch_dims or min(widths) < 1:
@@ -98,8 +98,8 @@ class ModelSpec:
             )
         if self.lstm_hidden % self.heads != 0:
             raise ConfigurationError(
-                f"lstm_hidden {self.lstm_hidden} must be divisible by "
-                f"heads {self.heads}"
+                f"lstm_hidden {shown(self.lstm_hidden)} must be divisible by "
+                f"heads {shown(self.heads)}"
             )
 
     def state_size(self) -> int:
@@ -193,14 +193,13 @@ class Model(Module):
         kind = spec.kind
         if kind == TS_MIXER:
             return self.mixer.forward(static, tape, training=training)
+        h = window
+        for layer in range(spec.lstm_layers):
+            if layer and kind == BASELINE_LSTM:
+                h = dropout_apply(h, spec.dropout, rng, training, tape)
+            h = self.lstm.layer_forward(layer, h, tape)
         if kind == BASELINE_LSTM:
-            h = window
-            for layer in range(self.lstm.num_layers):
-                h = self.lstm.layer_forward(layer, h, tape)
-                if layer < self.lstm.num_layers - 1:
-                    h = dropout_apply(h, spec.dropout, rng, training, tape)
             return self.head.forward(last_step(h, tape), tape)
-        h = self.lstm.forward(window, tape)
         if kind == ADVANCED_HYBRID:
             h = self.encoder.forward(h, tape)
         if kind == HYBRID_LSTM_MIXER:

@@ -33,6 +33,7 @@ from .errors import (
     SchemaError,
     UnimputableColumnError,
     WindowError,
+    shown,
 )
 from .tensor import SeededRng
 
@@ -176,10 +177,10 @@ def make_windows(features: np.ndarray, target, window_len: int):
     """
     n = features.shape[0]
     if window_len < 1:
-        raise RangeError(f"window length must be positive, got {window_len}")
+        raise RangeError(f"window length must be positive, got {shown(window_len)}")
     if n < window_len:
         raise WindowError(
-            f"need at least {window_len} rows to build one window, got {n}"
+            f"need at least {shown(window_len)} rows to build one window, got {n}"
         )
     # The window axis comes last: [M, F, L] -> [M, L, F].  Windows
     # overlap, so nothing may write into them; indexing them with an
@@ -287,8 +288,8 @@ def fit_pipeline(dataset, window_len: int = 1) -> tuple[PreprocessorState, Prepa
     n = dataset.features.shape[0]
     if n < window_len + 1:
         raise WindowError(
-            f"need more than {window_len} rows to fit with window length "
-            f"{window_len}, got {n}"
+            f"need more than {shown(window_len)} rows to fit with window length "
+            f"{shown(window_len)}, got {n}"
         )
     y_raw = np.asarray(dataset.target, dtype=np.float64)
     if np.isnan(y_raw).any():

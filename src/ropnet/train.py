@@ -39,6 +39,7 @@ from .errors import (
     DivergenceError,
     EmptyBatchError,
     IncompatibleCheckpointError,
+    shown,
 )
 from .layers import GradTape
 from .models import Model, ModelSpec, build_model
@@ -64,11 +65,11 @@ class TrainConfig:
     def __post_init__(self):
         if self.learning_rate <= 0:
             raise ConfigurationError(
-                f"learning rate must be positive, got {self.learning_rate}"
+                f"learning rate must be positive, got {shown(self.learning_rate)}"
             )
         if self.weight_decay < 0:
             raise ConfigurationError(
-                f"weight decay must be nonnegative, got {self.weight_decay}"
+                f"weight decay must be nonnegative, got {shown(self.weight_decay)}"
             )
         if self.batch_size < 1 or self.epochs < 1:
             raise ConfigurationError(
@@ -158,14 +159,7 @@ class LossCurve:
 
 
 def evaluate_mse(model: Model, windows, statics, y) -> float:
-    pred = model.predict(windows, statics)
-    y = np.asarray(y, dtype=np.float64).reshape(-1)
-    if y.size != pred.size:
-        raise DimensionError(
-            f"{pred.size} predictions against {y.size} targets"
-        )
-    diff = pred - y
-    return float(np.mean(diff * diff))
+    return mse_loss(model.predict(windows, statics), y)[0]
 
 
 def _batch_slices(perm: np.ndarray, batch_size: int):

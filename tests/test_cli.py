@@ -15,7 +15,7 @@ import pytest
 
 from ropnet import cli
 from ropnet.cli import RunConfig, main, parse_config
-from ropnet.errors import ConfigurationError, UndefinedMetricError
+from ropnet.errors import ConfigurationError, DivergenceError, UndefinedMetricError
 from ropnet.models import MODEL_KINDS, ModelSpec, build_model
 from ropnet.tensor import SeededRng
 from ropnet.train import load_checkpoint, save_checkpoint
@@ -231,6 +231,8 @@ class TestTrain:
             ("compare", "data.synthetic.noise_sigma", "1e200"),
             ("gen-data", "data.synthetic.regime_count", "1000000000000"),
             ("train", "data.synthetic.regime_count", "1000000000000"),
+            ("gen-data", "data.synthetic.n_rows", "1000000000000"),
+            ("train", "data.synthetic.n_rows", "1000000000000"),
         ],
     )
     def test_bad_run_config_exits_2_without_out_dir(
@@ -893,6 +895,34 @@ class TestCompare:
         assert main(["compare", "--config", cfg, "--out", str(out)]) == 3
         assert not out.exists()
 
+    def test_a_diverged_kind_is_marked_failed_and_the_rest_written(
+        self, pipeline, tmp_path, capsys, monkeypatch
+    ):
+        failed = "hybrid_lstm_mixer"
+        train_one = cli._train_one
+
+        def diverge_one_kind(kind, *args):
+            if kind == failed:
+                raise DivergenceError("non-finite loss at epoch 1")
+            return train_one(kind, *args)
+
+        monkeypatch.setattr(cli, "_train_one", diverge_one_kind)
+        cfg = write_config(
+            tmp_path / "compare.cfg",
+            **{"train.epochs": 1, "train.batch_size": 64, "data.path": pipeline["csv"]},
+        )
+        out = tmp_path / "out"
+        assert main(["compare", "--config", cfg, "--out", str(out)]) == 4
+        rows = (out / "comparison.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == list(MODEL_KINDS)
+        assert f"{failed},FAILED,FAILED,FAILED,FAILED" in rows
+        for kind in MODEL_KINDS:
+            for name in (f"losscurve_{kind}.csv", f"metrics_{kind}.json"):
+                assert (out / name).exists() == (kind != failed)
+        err = capsys.readouterr().err
+        assert f"{failed}: diverged (non-finite loss at epoch 1)" in err
+        assert f"diverged: {failed}" in err
+
 
 # every stdout line of each command, with {out} for --out, {csv} for
 # --data and N for a 4-decimal figure
@@ -1042,6 +1072,27 @@ class TestArgumentSurface:
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "command, artifact",
+        [("train", "checkpoint_ts_mixer.roph"), ("compare", "comparison.csv")],
+    )
+    def test_seed_flag_acts_as_the_config_seed(self, pipeline, tmp_path, command, artifact):
+        base = {
+            "model.kind": "ts_mixer",
+            "model.window_len": 2,
+            "train.epochs": 1,
+            "train.batch_size": 32,
+            "data.path": pipeline["csv"],
+        }
+        plain = write_config(tmp_path / "plain.cfg", **base)
+        seeded = write_config(tmp_path / "seeded.cfg", **base, **{"train.seed": 7})
+        runs = {"flag": [plain, "--seed", "7"], "config": [seeded], "default": [plain]}
+        for name, argv in runs.items():
+            assert main([command, "--config", *argv, "--out", str(tmp_path / name)]) == 0
+        flag, config, default = ((tmp_path / name / artifact).read_bytes() for name in runs)
+        assert flag == config
+        assert flag != default
 
     def test_unreadable_config_exits_2(self, tmp_path, capsys):
         rc = main(

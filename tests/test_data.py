@@ -22,7 +22,10 @@ from ropnet.data import (
     load_csv,
     write_csv,
 )
-from ropnet.errors import ConfigurationError, ParseError, SchemaError
+from ropnet.errors import ConfigurationError, ParseError, RopnetError, SchemaError
+from ropnet.models import ModelSpec
+from ropnet.preprocess import fit_pipeline, make_windows
+from ropnet.train import TrainConfig
 
 
 def _ols_r2(X, y):
@@ -349,6 +352,13 @@ class TestSyntheticSpecValidation:
         with pytest.raises(ConfigurationError):
             SyntheticSpec(n_rows=99)
 
+    @pytest.mark.parametrize("rows", [data.MAX_ROWS + 1, 10**12])
+    def test_row_ceiling(self, rows):
+        """10**12 rows would ask the generator for 58.2 TiB."""
+        with pytest.raises(ConfigurationError, match=f"between 100 and {data.MAX_ROWS} rows"):
+            SyntheticSpec(n_rows=rows)
+        assert SyntheticSpec(n_rows=data.MAX_ROWS).n_rows == data.MAX_ROWS
+
     def test_negative_noise_rejected_zero_allowed(self):
         with pytest.raises(ConfigurationError):
             SyntheticSpec(noise_sigma=-1.0)
@@ -375,6 +385,36 @@ class TestSyntheticSpecValidation:
         with pytest.raises(ConfigurationError, match="regime count"):
             SyntheticSpec(n_rows=120, regime_count=regimes)
         assert SyntheticSpec(n_rows=120, regime_count=120).regime_count == 120
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        pytest.param(lambda: SyntheticSpec(noise_sigma=10**5000), id="noise_sigma"),
+        pytest.param(lambda: SyntheticSpec(regime_count=10**5000), id="regime_count"),
+        pytest.param(lambda: SyntheticSpec(n_rows=-(10**5000)), id="n_rows"),
+        pytest.param(lambda: TrainConfig(learning_rate=-(10**5000)), id="learning_rate"),
+        pytest.param(lambda: TrainConfig(weight_decay=-(10**5000)), id="weight_decay"),
+        pytest.param(
+            lambda: ModelSpec(kind="baseline_lstm", input_features=8, lstm_hidden=10**5000 + 1),
+            id="lstm_hidden",
+        ),
+        pytest.param(
+            lambda: ModelSpec(kind="baseline_lstm", input_features=8, dropout=10**5000),
+            id="dropout",
+        ),
+        pytest.param(
+            lambda: fit_pipeline(generate_synthetic(SyntheticSpec(n_rows=100))[0], 10**5000),
+            id="fit_pipeline_window_len",
+        ),
+        pytest.param(lambda: make_windows(np.zeros((5, 2)), None, -(10**5000)), id="window_len"),
+    ],
+)
+def test_a_setting_too_long_to_print_is_refused_by_its_size(build):
+    """``str`` refuses an int past 4,300 digits, so the message names
+    the value's size instead of raising ``ValueError``."""
+    with pytest.raises(RopnetError, match="integer of 16610 bits"):
+        build()
 
 
 class TestGenerator:

@@ -111,7 +111,7 @@ def build_batch_norm_eval(rng):
 def build_lstm(rng):
     stack = LstmStack(3, 4, 2, rng)
     x = rng.normal((3, 4, 3))
-    return stack.params(), [x], lambda tape: stack.forward(x, tape)
+    return stack.params(), [x], lambda tape: stack.layer_forward(1, stack.layer_forward(0, x, tape), tape)
 
 
 def build_encoder(rng):

@@ -106,7 +106,7 @@ def check_lstm_single(seed):
     stack = LstmStack(4, 5, 1, rng)
     x = rng.normal((3, 5, 4))
     return _max_abs(
-        stack.forward(x), oracles.lstm_layer_loop(x, _lstm_params(stack, 0))
+        stack.layer_forward(0, x), oracles.lstm_layer_loop(x, _lstm_params(stack, 0))
     )
 
 
@@ -116,7 +116,7 @@ def check_lstm_stacked(seed):
     x = rng.normal((2, 4, 3))
     h0 = oracles.lstm_layer_loop(x, _lstm_params(stack, 0))
     want = oracles.lstm_layer_loop(h0, _lstm_params(stack, 1))
-    return _max_abs(stack.forward(x), want)
+    return _max_abs(stack.layer_forward(1, stack.layer_forward(0, x)), want)
 
 
 def check_encoder_attention(seed):
@@ -465,6 +465,10 @@ class TestDropout:
         for rate in (-0.1, 1.0, 1.5):
             with pytest.raises(RangeError):
                 dropout_apply(x, rate, rng=SeededRng(0), training=True)
+
+    def test_training_without_an_rng_rejected(self):
+        with pytest.raises(RangeError, match="needs an rng"):
+            dropout_apply(np.ones((2, 2)), 0.5, rng=None, training=True)
 
 
 class TestStructuralOps:

@@ -8,14 +8,14 @@ import threading
 import time
 import tracemalloc
 import warnings
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 
 from ropnet.data import SyntheticSpec, generate_synthetic
 from ropnet.errors import ConfigurationError, DimensionError, RangeError, RopnetError
-from ropnet.layers import GradTape, Linear
+from ropnet.layers import GradTape, Linear, dropout_apply, last_step
 from ropnet import tensor
 from ropnet.models import (
     ADVANCED_HYBRID,
@@ -208,6 +208,28 @@ class TestForward:
             window, static, training=True, rng=SeededRng(11)
         )
         assert not np.array_equal(eval_out, train_out)
+
+    @pytest.mark.parametrize("kind", [BASELINE_LSTM, HYBRID_LSTM_MIXER])
+    def test_forward_stacks_layers_then_head(self, kind):
+        # three layers, so dropout sits between more than one pair
+        spec = replace(small_spec(kind), lstm_layers=3)
+        model = build_model(spec, SeededRng(1))
+        window, static = small_inputs(spec)
+        got = model.forward(window, static, GradTape(), training=True, rng=SeededRng(11))
+        tape, rng = GradTape(), SeededRng(11)
+        h = window
+        for layer in range(spec.lstm_layers):
+            if layer and kind == BASELINE_LSTM:
+                h = dropout_apply(h, spec.dropout, rng, True, tape)
+            h = model.lstm.layer_forward(layer, h, tape)
+        if kind == BASELINE_LSTM:
+            want = model.head.forward(last_step(h, tape), tape)
+        else:
+            mixed = model.mixer.forward(static, tape, training=True)
+            want = model.fusion.forward(
+                last_step(h, tape), mixed, tape, dropout_rate=spec.dropout, rng=rng, training=True
+            )
+        assert got.tobytes() == want.tobytes()
 
     def test_shape_validation(self):
         # the layers trust their input, so every bad shape must stop here
