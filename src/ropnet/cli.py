@@ -27,6 +27,7 @@ from .errors import (
     DataError,
     DivergenceError,
     RopnetError,
+    check_count,
 )
 from .explain import permutation_importance
 from .metrics import compute_metrics
@@ -140,6 +141,7 @@ def _synthetic(cfg: RunConfig):
 def _train_config(cfg: RunConfig, kinds) -> TrainConfig:
     """The training settings, checked for ``kinds`` before any data is
     read or ``--out`` made."""
+    check_count("model.window_len", cfg.window_len)
     if not set(kinds) <= set(MODEL_KINDS):
         raise ConfigurationError(
             f"unknown model.kind {cfg.model_kind!r}; choose from {MODEL_KINDS}"

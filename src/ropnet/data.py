@@ -28,7 +28,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .errors import ConfigurationError, ParseError, SchemaError, shown
+from .errors import ConfigurationError, ParseError, SchemaError, check_count, shown
 from .tensor import SeededRng
 
 
@@ -280,11 +280,7 @@ class SyntheticSpec:
     seed: int = 42
 
     def __post_init__(self):
-        if not 100 <= self.n_rows <= MAX_ROWS:
-            raise ConfigurationError(
-                f"synthetic spec needs between 100 and {MAX_ROWS} rows, "
-                f"got {shown(self.n_rows)}"
-            )
+        check_count("synthetic n_rows", self.n_rows, 100, MAX_ROWS)
         # the truth's Bayes MSE is its square, which must be a finite float
         try:
             square = float(self.noise_sigma) ** 2
@@ -295,11 +291,7 @@ class SyntheticSpec:
                 f"noise sigma must be non-negative with a finite square, "
                 f"got {shown(self.noise_sigma)}"
             )
-        if not 1 <= self.regime_count <= self.n_rows:
-            raise ConfigurationError(
-                f"regime count must be between 1 and the {self.n_rows} rows, "
-                f"got {shown(self.regime_count)}"
-            )
+        check_count("synthetic regime count", self.regime_count, 1, self.n_rows)
 
 
 def generate_synthetic(spec: SyntheticSpec) -> tuple[Dataset, dict]:

@@ -6,15 +6,6 @@ divergence with 4.
 """
 
 
-def shown(value) -> str:
-    """``value`` as an error message shows it.  An int beyond float range
-    is named by its size, since ``str`` refuses one past 4,300 digits."""
-    if isinstance(value, int) and value.bit_length() > 1024:
-        sign = "negative " if value < 0 else ""
-        return f"a {sign}integer of {value.bit_length()} bits"
-    return f"{value}"
-
-
 class RopnetError(Exception):
     """Base class for every error raised by this package."""
 
@@ -106,3 +97,22 @@ class CorruptCheckpointError(CheckpointError):
 
 class DegenerateNeighborhoodError(RopnetError):
     """Local surrogate fit is ill-conditioned at the requested radius."""
+
+
+def shown(value) -> str:
+    """``value`` as an error message shows it.  An int beyond float range
+    is named by its size, since ``str`` refuses one past 4,300 digits."""
+    if isinstance(value, int) and value.bit_length() > 1024:
+        sign = "negative " if value < 0 else ""
+        return f"a {sign}integer of {value.bit_length()} bits"
+    return f"{value}"
+
+
+def check_count(what: str, value, lo=1, hi=None, error=ConfigurationError):
+    """Raise ``error`` unless ``value`` is an int (a bool is not) in
+    [lo, hi]; the one rule for every count setting."""
+    whole = isinstance(value, int) and not isinstance(value, bool)
+    if not (whole and lo <= value and (hi is None or value <= hi)):
+        span = f"of at least {lo}" if hi is None else f"between {lo} and {hi}"
+        got = shown(value) if whole else repr(value)
+        raise error(f"{what} must be an integer {span}, got {got}")

@@ -23,6 +23,7 @@ from .errors import (
     InsufficientDataError,
     RangeError,
     UndefinedMetricError,
+    check_count,
 )
 from .tensor import SeededRng, on_both_cores
 
@@ -157,10 +158,7 @@ def local_surrogate(
     anchor = np.asarray(anchor, dtype=np.float64).reshape(-1)
     if radius <= 0:
         raise RangeError(f"radius must be positive, got {radius}")
-    if n_samples < 50:
-        raise RangeError(
-            f"surrogate needs at least 50 samples for a stable fit, got {n_samples}"
-        )
+    check_count("surrogate n_samples", n_samples, 50, error=RangeError)
     d = anchor.size
     offsets = radius * rng.normal((n_samples, d))
     X = anchor + offsets

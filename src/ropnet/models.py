@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DimensionError, RangeError, shown
+from .errors import ConfigurationError, DimensionError, RangeError, check_count, shown
 from .layers import (
     AttentionPool,
     FusionHead,
@@ -75,26 +75,16 @@ class ModelSpec:
             raise ConfigurationError(
                 f"unknown model kind {self.kind!r}; choose from {MODEL_KINDS}"
             )
-        counts = (self.input_features, self.window_len, self.lstm_hidden,
-                  self.lstm_layers, self.heads, self.ffn_dim,
-                  self.mixer_hidden, *self.branch_dims)
-        for value in counts:
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ConfigurationError(
-                    f"width and count settings must be integers, got {value!r}"
-                )
-        if self.input_features < 1:
-            raise ConfigurationError("input_features must be at least 1")
-        if self.window_len < 1:
-            raise ConfigurationError("window_len must be at least 1")
+        for name in ("input_features", "window_len", "lstm_hidden", "lstm_layers",
+                     "heads", "ffn_dim", "mixer_hidden"):
+            check_count(name, getattr(self, name))
+        if not self.branch_dims:
+            raise ConfigurationError("branch_dims must not be empty")
+        for width in self.branch_dims:
+            check_count("branch_dims width", width)
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigurationError(
                 f"dropout must lie in [0, 1), got {shown(self.dropout)}"
-            )
-        widths = counts[2:]
-        if not self.branch_dims or min(widths) < 1:
-            raise ConfigurationError(
-                "all width settings must be positive and branch_dims non-empty"
             )
         if self.lstm_hidden % self.heads != 0:
             raise ConfigurationError(
@@ -232,8 +222,7 @@ class Model(Module):
         predictions do not depend on the CPU count, on BLAS control or
         on other runs.
         """
-        if batch_size < 1:
-            raise RangeError(f"batch_size must be at least 1, got {batch_size}")
+        check_count("batch_size", batch_size, error=RangeError)
         self._check_inputs(windows, statics)
         n = windows.shape[0]
         out = np.empty(n)

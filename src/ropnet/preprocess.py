@@ -33,6 +33,7 @@ from .errors import (
     SchemaError,
     UnimputableColumnError,
     WindowError,
+    check_count,
     shown,
 )
 from .tensor import SeededRng
@@ -176,8 +177,7 @@ def make_windows(features: np.ndarray, target, window_len: int):
     three are views into the inputs; the windows are read-only.
     """
     n = features.shape[0]
-    if window_len < 1:
-        raise RangeError(f"window length must be positive, got {shown(window_len)}")
+    check_count("window length", window_len, error=RangeError)
     if n < window_len:
         raise WindowError(
             f"need at least {shown(window_len)} rows to build one window, got {n}"
@@ -224,11 +224,9 @@ class PreprocessorState:
                 f"version does not compute"
             )
         state = cls(**d)
-        L = state.window_len
-        if isinstance(L, bool) or not isinstance(L, int) or L < 1:
-            raise CorruptCheckpointError(
-                f"preprocessor window_len must be a positive integer, got {L!r}"
-            )
+        check_count(
+            "preprocessor window_len", state.window_len, error=CorruptCheckpointError
+        )
         n_src, n_feat = len(state.source_names), len(state.feature_names)
         counts = (len(state.fill_values), len(state.feat_mean), len(state.feat_std))
         if counts != (n_src, n_feat, n_feat):
@@ -285,6 +283,7 @@ def fit_pipeline(dataset, window_len: int = 1) -> tuple[PreprocessorState, Prepa
     default schema's name."""
     if dataset.target is None:
         raise DataError("fitting requires the target column")
+    check_count("window length", window_len, error=RangeError)
     n = dataset.features.shape[0]
     if n < window_len + 1:
         raise WindowError(

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import ctypes
 import functools
+import operator
 import os
 import sys
 import threading
@@ -185,6 +186,10 @@ class SeededRng:
     """
 
     def __init__(self, seed: int):
+        try:
+            seed = operator.index(seed)
+        except TypeError:
+            raise RangeError(f"seed must be an integer, got {seed!r}") from None
         self._state = np.uint64(seed & 0xFFFFFFFFFFFFFFFF)
 
     def _next_block(self, n: int) -> np.ndarray:

@@ -27,6 +27,7 @@ from __future__ import annotations
 import json
 import os
 import struct
+import sys
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -39,6 +40,7 @@ from .errors import (
     DivergenceError,
     EmptyBatchError,
     IncompatibleCheckpointError,
+    check_count,
     shown,
 )
 from .layers import GradTape
@@ -63,18 +65,19 @@ class TrainConfig:
     eps = 1e-8
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
+        # chained comparisons refuse nan, inf and an int past float range alike
+        if not 0 < self.learning_rate <= sys.float_info.max:
             raise ConfigurationError(
-                f"learning rate must be positive, got {shown(self.learning_rate)}"
+                "learning rate must be positive and finite, "
+                f"got {shown(self.learning_rate)}"
             )
-        if self.weight_decay < 0:
+        if not 0 <= self.weight_decay <= sys.float_info.max:
             raise ConfigurationError(
-                f"weight decay must be nonnegative, got {shown(self.weight_decay)}"
+                "weight decay must be nonnegative and finite, "
+                f"got {shown(self.weight_decay)}"
             )
-        if self.batch_size < 1 or self.epochs < 1:
-            raise ConfigurationError(
-                "batch size and epoch count must be at least 1"
-            )
+        check_count("batch_size", self.batch_size)
+        check_count("epochs", self.epochs)
 
 
 def mse_loss(pred: np.ndarray, target: np.ndarray):

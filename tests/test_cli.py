@@ -263,6 +263,18 @@ class TestTrain:
         assert "train.batch_size" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["train", "compare"])
+    @pytest.mark.parametrize("window", ["0", "-3"])
+    def test_bad_window_exits_2_before_loading(self, tmp_path, capsys, command, window):
+        cfg = write_config(
+            tmp_path / "run.cfg",
+            **{"model.window_len": window, "data.path": tmp_path / "absent.csv"},
+        )
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        assert "model.window_len" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_batch_size_one_without_batch_norm_trains(self, tmp_path):
         cfg = write_config(
             tmp_path / "run.cfg",

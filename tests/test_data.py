@@ -22,9 +22,18 @@ from ropnet.data import (
     load_csv,
     write_csv,
 )
-from ropnet.errors import ConfigurationError, ParseError, RopnetError, SchemaError
-from ropnet.models import ModelSpec
-from ropnet.preprocess import fit_pipeline, make_windows
+from ropnet.errors import (
+    ConfigurationError,
+    CorruptCheckpointError,
+    ParseError,
+    RangeError,
+    RopnetError,
+    SchemaError,
+)
+from ropnet.explain import local_surrogate
+from ropnet.models import TS_MIXER, ModelSpec, build_model
+from ropnet.preprocess import PreprocessorState, fit_pipeline, make_windows
+from ropnet.tensor import SeededRng
 from ropnet.train import TrainConfig
 
 
@@ -355,7 +364,7 @@ class TestSyntheticSpecValidation:
     @pytest.mark.parametrize("rows", [data.MAX_ROWS + 1, 10**12])
     def test_row_ceiling(self, rows):
         """10**12 rows would ask the generator for 58.2 TiB."""
-        with pytest.raises(ConfigurationError, match=f"between 100 and {data.MAX_ROWS} rows"):
+        with pytest.raises(ConfigurationError, match=f"between 100 and {data.MAX_ROWS}, got"):
             SyntheticSpec(n_rows=rows)
         assert SyntheticSpec(n_rows=data.MAX_ROWS).n_rows == data.MAX_ROWS
 
@@ -387,6 +396,41 @@ class TestSyntheticSpecValidation:
         assert SyntheticSpec(n_rows=120, regime_count=120).regime_count == 120
 
 
+def _fitted_state_with_window(window_len):
+    state, _ = fit_pipeline(generate_synthetic(SyntheticSpec(n_rows=100))[0])
+    return PreprocessorState.from_dict({**state.__dict__, "window_len": window_len})
+
+
+def _predict_with_batch(batch_size):
+    model = build_model(ModelSpec(kind=TS_MIXER, input_features=8), SeededRng(0))
+    return model.predict(np.zeros((5, 1, 8)), np.zeros((5, 8)), batch_size=batch_size)
+
+
+# each count setting: a call that passes it a value, and the error it raises
+COUNT_SITES = {
+    "n_rows": (lambda v: SyntheticSpec(n_rows=v), ConfigurationError),
+    "regime_count": (lambda v: SyntheticSpec(regime_count=v), ConfigurationError),
+    "batch_size": (lambda v: TrainConfig(batch_size=v), ConfigurationError),
+    "epochs": (lambda v: TrainConfig(epochs=v), ConfigurationError),
+    "fit_pipeline_window_len": (
+        lambda v: fit_pipeline(generate_synthetic(SyntheticSpec(n_rows=100))[0], v),
+        RangeError,
+    ),
+    "make_windows_window_len": (
+        lambda v: make_windows(np.zeros((5, 2)), None, v),
+        RangeError,
+    ),
+    "preprocessor_window_len": (_fitted_state_with_window, CorruptCheckpointError),
+    "predict_batch_size": (_predict_with_batch, RangeError),
+    "surrogate_n_samples": (
+        lambda v: local_surrogate(
+            lambda X: X.sum(axis=1), np.ones(2), SeededRng(0), n_samples=v
+        ),
+        RangeError,
+    ),
+}
+
+
 @pytest.mark.parametrize(
     "build",
     [
@@ -408,6 +452,11 @@ class TestSyntheticSpecValidation:
             id="fit_pipeline_window_len",
         ),
         pytest.param(lambda: make_windows(np.zeros((5, 2)), None, -(10**5000)), id="window_len"),
+        *(
+            pytest.param(lambda site=site: COUNT_SITES[site][0](-(10**5000)), id=site)
+            for site in ("batch_size", "epochs", "predict_batch_size",
+                         "surrogate_n_samples", "preprocessor_window_len")
+        ),
     ],
 )
 def test_a_setting_too_long_to_print_is_refused_by_its_size(build):
@@ -415,6 +464,21 @@ def test_a_setting_too_long_to_print_is_refused_by_its_size(build):
     the value's size instead of raising ``ValueError``."""
     with pytest.raises(RopnetError, match="integer of 16610 bits"):
         build()
+
+
+@pytest.mark.parametrize(
+    "site, value",
+    [(site, value) for site in COUNT_SITES for value in (2.5, True, "4")]
+    # in range but not whole, where 2.5 and True already fall below the floor
+    + [("n_rows", 150.5), ("surrogate_n_samples", 60.5)],
+)
+def test_a_count_setting_must_be_an_int(site, value):
+    """Every count is checked by one rule: an int (not a bool) in range,
+    refused with the site's own error type before anything is sized."""
+    build, error = COUNT_SITES[site]
+    with pytest.raises(error, match="must be an integer") as refused:
+        build(value)
+    assert type(refused.value) is error
 
 
 class TestGenerator:

@@ -144,6 +144,12 @@ class TestSpecValidation:
             {"lstm_layers": True},
             {"heads": "4"},
             {"branch_dims": (128, 64.0)},
+            {"window_len": 2.5},
+            {"window_len": True},
+            {"window_len": "4"},
+            {"ffn_dim": 2.5},
+            {"lstm_hidden": True},
+            {"branch_dims": ("4", 64)},
         ):
             with pytest.raises(ConfigurationError):
                 ModelSpec(**{"kind": BASELINE_LSTM, "input_features": 8, **bad})

@@ -41,6 +41,21 @@ class TestSeededRng:
         a, b = SeededRng(123), SeededRng(123)
         np.testing.assert_array_equal(a.uniform(1_000_000), b.uniform(1_000_000))
 
+    @pytest.mark.parametrize("seed", [1.5, 2.0, "3", None])
+    def test_seed_must_be_an_integer(self, seed):
+        with pytest.raises(RangeError, match="seed must be an integer"):
+            SeededRng(seed)
+
+    def test_numpy_and_negative_seeds_kept(self):
+        """A numpy int seeds the same stream as the int it holds, and a
+        negative seed wraps modulo 2**64."""
+        np.testing.assert_array_equal(
+            SeededRng(np.int64(7)).uniform(10), SeededRng(7).uniform(10)
+        )
+        np.testing.assert_array_equal(
+            SeededRng(-1).uniform(10), SeededRng(2**64 - 1).uniform(10)
+        )
+
     def test_different_seeds_differ(self):
         assert not np.array_equal(SeededRng(1).uniform(100), SeededRng(2).uniform(100))
 

@@ -3,6 +3,7 @@
 import ctypes
 import hashlib
 import json
+import math
 import os
 import re
 import struct
@@ -139,6 +140,16 @@ class TestTrainConfig:
             TrainConfig(weight_decay=-1e-5)
         with pytest.raises(ConfigurationError):
             TrainConfig(batch_size=0)
+
+    @pytest.mark.parametrize(
+        "value", [math.nan, math.inf, -math.inf, pytest.param(10**400, id="int_past_float")]
+    )
+    @pytest.mark.parametrize("name", ["learning_rate", "weight_decay"])
+    def test_rates_must_be_finite(self, name, value):
+        """A rate that is not a finite float is a configuration error,
+        not a divergence found after training has started."""
+        with pytest.raises(ConfigurationError, match="finite"):
+            TrainConfig(**{name: value})
 
 
 class TestAdamW:
