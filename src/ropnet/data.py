@@ -20,6 +20,7 @@ from __future__ import annotations
 import csv
 import math
 import os
+import sys
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -28,7 +29,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .errors import ConfigurationError, ParseError, SchemaError, check_count, shown
+from .errors import ParseError, SchemaError, check_count, check_real
 from .tensor import SeededRng
 
 
@@ -281,16 +282,9 @@ class SyntheticSpec:
 
     def __post_init__(self):
         check_count("synthetic n_rows", self.n_rows, 100, MAX_ROWS)
-        # the truth's Bayes MSE is its square, which must be a finite float
-        try:
-            square = float(self.noise_sigma) ** 2
-        except OverflowError:
-            square = math.inf
-        if not (self.noise_sigma >= 0 and math.isfinite(square)):
-            raise ConfigurationError(
-                f"noise sigma must be non-negative with a finite square, "
-                f"got {shown(self.noise_sigma)}"
-            )
+        # its square is the truth's Bayes MSE, finite up to sqrt(max) squared
+        check_real("noise sigma (which needs a finite square)", self.noise_sigma,
+                   0, math.sqrt(sys.float_info.max))
         check_count("synthetic regime count", self.regime_count, 1, self.n_rows)
 
 

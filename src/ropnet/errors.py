@@ -5,6 +5,9 @@ configuration problems exit with 2, data problems with 3, numeric
 divergence with 4.
 """
 
+import math
+import numbers
+
 
 class RopnetError(Exception):
     """Base class for every error raised by this package."""
@@ -103,8 +106,8 @@ def shown(value) -> str:
     """``value`` as an error message shows it.  An int beyond float range
     is named by its size, since ``str`` refuses one past 4,300 digits."""
     if isinstance(value, int) and value.bit_length() > 1024:
-        sign = "negative " if value < 0 else ""
-        return f"a {sign}integer of {value.bit_length()} bits"
+        article = "a negative" if value < 0 else "an"
+        return f"{article} integer of {value.bit_length()} bits"
     return f"{value}"
 
 
@@ -116,3 +119,17 @@ def check_count(what: str, value, lo=1, hi=None, error=ConfigurationError):
         span = f"of at least {lo}" if hi is None else f"between {lo} and {hi}"
         got = shown(value) if whole else repr(value)
         raise error(f"{what} must be an integer {span}, got {got}")
+
+
+def check_real(what: str, value, lo, hi, error=ConfigurationError, *,
+               open_lo=False, open_hi=False):
+    """Raise ``error`` unless ``value`` is a real number (a bool is not)
+    between the finite ends ``lo`` and ``hi``, each closed unless opened;
+    the one rule for every real-valued setting.  nan and ±inf lie outside."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    # ints compare exactly, any float as a Python float (a numpy one warns of a cast)
+    x = (value if isinstance(value, numbers.Rational) else float(value)) if real else math.nan
+    if not ((lo < x if open_lo else lo <= x) and (x < hi if open_hi else x <= hi)):
+        span = f"{'(' if open_lo else '['}{lo}, {hi}{')' if open_hi else ']'}"
+        got = shown(value) if real else repr(value)
+        raise error(f"{what} must be a finite real number in {span}, got {got}")

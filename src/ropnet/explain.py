@@ -24,8 +24,10 @@ from .errors import (
     RangeError,
     UndefinedMetricError,
     check_count,
+    check_real,
 )
 from .tensor import SeededRng, on_both_cores
+from .train import evaluate_mse
 
 _CONDITION_LIMIT = 1e10
 # Shuffles per feature; an importance is the mean rise over them.
@@ -91,13 +93,7 @@ def permutation_importance(
     if y.size != n:
         raise DimensionError(f"{n} windows against {y.size} targets")
 
-    def mse(w, s) -> float:
-        pred = model.predict(w, s)
-        with np.errstate(over="ignore"):
-            diff = pred - y
-            return float(np.mean(diff * diff))
-
-    base_mse = mse(windows, statics)
+    base_mse = evaluate_mse(model, windows, statics, y)
     if not math.isfinite(base_mse):
         raise UndefinedMetricError(f"the base MSE overflows float64 ({base_mse})")
     shuffles = [(f, rng.permutation(n)) for f in range(windows.shape[2]) for _ in range(REPEATS)]
@@ -107,7 +103,7 @@ def permutation_importance(
         w, s = windows.copy(), statics.copy()
         w[:, :, feature] = windows[perm, :, feature]
         s[:, feature] = statics[perm, feature]
-        return mse(w, s)
+        return evaluate_mse(model, w, s, y)
 
     mses = on_both_cores(shuffled_mse, shuffles)
     importances = []
@@ -153,12 +149,16 @@ def local_surrogate(
     Samples are drawn from N(anchor, radius^2 I) and weighted by
     exp(-d^2 / radius^2).  The fit solves the weighted normal
     equations; a condition number beyond 1e10 (e.g. a vanishing
-    radius) aborts rather than returning garbage slopes.
+    radius) aborts rather than returning garbage slopes, as does an
+    anchor or a prediction that is not finite.
     """
     anchor = np.asarray(anchor, dtype=np.float64).reshape(-1)
-    if radius <= 0:
-        raise RangeError(f"radius must be positive, got {radius}")
-    check_count("surrogate n_samples", n_samples, 50, error=RangeError)
+    if not np.isfinite(anchor).all():
+        raise RangeError("the anchor must be finite")
+    # radii whose square and whose draws' squares are normal, finite floats;
+    # the sample bound keeps each n_samples-row array small
+    check_real("radius", radius, 1e-100, 1e100, error=RangeError)
+    check_count("surrogate n_samples", n_samples, 50, 100_000, error=RangeError)
     d = anchor.size
     offsets = radius * rng.normal((n_samples, d))
     X = anchor + offsets
@@ -167,6 +167,8 @@ def local_surrogate(
         raise DimensionError(
             f"predict_fn returned {y.size} values for {n_samples} inputs"
         )
+    if not np.isfinite(y).all():
+        raise UndefinedMetricError("predict_fn returned a value that is not finite")
     w = np.exp(-(offsets * offsets).sum(axis=1) / radius**2)
 
     design = np.column_stack([offsets, np.ones(n_samples)])

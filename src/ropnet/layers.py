@@ -16,8 +16,8 @@ gradient buffer (an arena), each Param's arrays becoming views of
 them; ``Model`` packs itself on construction, so its optimizer step,
 ``zero_grad`` and gradient norm each run over a single array.
 
-Layers trust their input shapes: ``Model`` checks them once, where
-input enters, so nothing here re-checks a width.
+Layers trust their input: ``Model`` checks shapes where input enters,
+and ``ModelSpec`` the dropout rate, so nothing here re-checks either.
 
 Shape conventions:
   - batches are leading: [B, F] for flat features, [B, T, F] for
@@ -273,8 +273,6 @@ def dropout_apply(x, rate, rng=None, training=False, tape=None):
     Each element is zeroed with probability ``rate`` and survivors are
     scaled by 1/(1-rate), so the expected output equals the input.
     """
-    if not 0.0 <= rate < 1.0:
-        raise RangeError(f"dropout rate must lie in [0, 1), got {rate}")
     if not training or rate == 0.0:
         return x
     if rng is None:

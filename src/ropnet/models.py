@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DimensionError, RangeError, check_count, shown
+from .errors import ConfigurationError, DimensionError, RangeError, check_count, check_real, shown
 from .layers import (
     AttentionPool,
     FusionHead,
@@ -70,7 +70,6 @@ class ModelSpec:
     dropout: float = 0.2
 
     def __post_init__(self):
-        self.branch_dims = tuple(self.branch_dims)
         if self.kind not in MODEL_KINDS:
             raise ConfigurationError(
                 f"unknown model kind {self.kind!r}; choose from {MODEL_KINDS}"
@@ -78,14 +77,12 @@ class ModelSpec:
         for name in ("input_features", "window_len", "lstm_hidden", "lstm_layers",
                      "heads", "ffn_dim", "mixer_hidden"):
             check_count(name, getattr(self, name))
-        if not self.branch_dims:
-            raise ConfigurationError("branch_dims must not be empty")
+        if not (isinstance(self.branch_dims, (tuple, list)) and self.branch_dims):
+            raise ConfigurationError("branch_dims must be a non-empty sequence of widths")
+        self.branch_dims = tuple(self.branch_dims)
         for width in self.branch_dims:
             check_count("branch_dims width", width)
-        if not 0.0 <= self.dropout < 1.0:
-            raise ConfigurationError(
-                f"dropout must lie in [0, 1), got {shown(self.dropout)}"
-            )
+        check_real("dropout", self.dropout, 0, 1, open_hi=True)
         if self.lstm_hidden % self.heads != 0:
             raise ConfigurationError(
                 f"lstm_hidden {shown(self.lstm_hidden)} must be divisible by "

@@ -41,7 +41,7 @@ from .errors import (
     EmptyBatchError,
     IncompatibleCheckpointError,
     check_count,
-    shown,
+    check_real,
 )
 from .layers import GradTape
 from .models import Model, ModelSpec, build_model
@@ -65,17 +65,8 @@ class TrainConfig:
     eps = 1e-8
 
     def __post_init__(self):
-        # chained comparisons refuse nan, inf and an int past float range alike
-        if not 0 < self.learning_rate <= sys.float_info.max:
-            raise ConfigurationError(
-                "learning rate must be positive and finite, "
-                f"got {shown(self.learning_rate)}"
-            )
-        if not 0 <= self.weight_decay <= sys.float_info.max:
-            raise ConfigurationError(
-                "weight decay must be nonnegative and finite, "
-                f"got {shown(self.weight_decay)}"
-            )
+        check_real("learning rate", self.learning_rate, 0, sys.float_info.max, open_lo=True)
+        check_real("weight decay", self.weight_decay, 0, sys.float_info.max)
         check_count("batch_size", self.batch_size)
         check_count("epochs", self.epochs)
 

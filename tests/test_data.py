@@ -4,6 +4,9 @@ import csv
 import json
 import math
 import os
+import warnings
+from dataclasses import fields
+from functools import partial
 from unittest import mock
 
 import numpy as np
@@ -31,7 +34,7 @@ from ropnet.errors import (
     SchemaError,
 )
 from ropnet.explain import local_surrogate
-from ropnet.models import TS_MIXER, ModelSpec, build_model
+from ropnet.models import ADVANCED_HYBRID, TS_MIXER, ModelSpec, build_model
 from ropnet.preprocess import PreprocessorState, fit_pipeline, make_windows
 from ropnet.tensor import SeededRng
 from ropnet.train import TrainConfig
@@ -406,6 +409,10 @@ def _predict_with_batch(batch_size):
     return model.predict(np.zeros((5, 1, 8)), np.zeros((5, 8)), batch_size=batch_size)
 
 
+def _surrogate(**settings):
+    return local_surrogate(lambda X: X.sum(axis=1), np.ones(2), SeededRng(0), **settings)
+
+
 # each count setting: a call that passes it a value, and the error it raises
 COUNT_SITES = {
     "n_rows": (lambda v: SyntheticSpec(n_rows=v), ConfigurationError),
@@ -422,12 +429,20 @@ COUNT_SITES = {
     ),
     "preprocessor_window_len": (_fitted_state_with_window, CorruptCheckpointError),
     "predict_batch_size": (_predict_with_batch, RangeError),
-    "surrogate_n_samples": (
-        lambda v: local_surrogate(
-            lambda X: X.sum(axis=1), np.ones(2), SeededRng(0), n_samples=v
-        ),
-        RangeError,
+    "surrogate_n_samples": (lambda v: _surrogate(n_samples=v), RangeError),
+}
+
+
+# each real-valued setting: a call that passes it a value, and the error it raises
+REAL_SITES = {
+    "learning_rate": (lambda v: TrainConfig(learning_rate=v), ConfigurationError),
+    "weight_decay": (lambda v: TrainConfig(weight_decay=v), ConfigurationError),
+    "noise_sigma": (lambda v: SyntheticSpec(noise_sigma=v), ConfigurationError),
+    "dropout": (
+        lambda v: ModelSpec(kind=TS_MIXER, input_features=8, dropout=v),
+        ConfigurationError,
     ),
+    "radius": (lambda v: _surrogate(radius=v), RangeError),
 }
 
 
@@ -457,6 +472,7 @@ COUNT_SITES = {
             for site in ("batch_size", "epochs", "predict_batch_size",
                          "surrogate_n_samples", "preprocessor_window_len")
         ),
+        pytest.param(lambda: REAL_SITES["radius"][0](-(10**5000)), id="radius"),
     ],
 )
 def test_a_setting_too_long_to_print_is_refused_by_its_size(build):
@@ -479,6 +495,75 @@ def test_a_count_setting_must_be_an_int(site, value):
     with pytest.raises(error, match="must be an integer") as refused:
         build(value)
     assert type(refused.value) is error
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        pytest.param("0.1", id="text"),
+        None,
+        True,
+        math.nan,
+        math.inf,
+        -math.inf,
+        pytest.param(10**400, id="int_past_float"),
+    ],
+)
+@pytest.mark.parametrize("site", REAL_SITES)
+def test_a_real_setting_must_be_a_finite_real(site, value):
+    """Every real-valued setting is checked by one rule: a real number
+    (not a bool) inside its span, where nan and ±inf never are, refused
+    with the site's own error type."""
+    build, error = REAL_SITES[site]
+    with pytest.raises(error, match="must be a finite real number") as refused:
+        build(value)
+    assert type(refused.value) is error
+
+
+@pytest.mark.parametrize("site", REAL_SITES)
+def test_a_numpy_float_setting_is_taken_without_a_warning(site):
+    """The rule compares a float32 as a Python float, so no cast of the
+    span's ends to float32 overflows."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        REAL_SITES[site][0](np.float32(0.1))
+
+
+# values a caller might pass for any setting, in range or not
+JUNK = st.one_of(
+    st.text(max_size=3),
+    st.none(),
+    st.booleans(),
+    st.sampled_from([math.nan, math.inf, -math.inf, 10**400, -(10**400)]),
+    st.floats(width=32).map(np.float32),
+    st.floats(),
+    st.integers(),
+)
+# each call, and a junk strategy for every setting it takes
+JUNK_SETTINGS = {
+    "ModelSpec": (
+        partial(ModelSpec, kind=ADVANCED_HYBRID, input_features=8),
+        {f.name: JUNK for f in fields(ModelSpec)},
+    ),
+    "TrainConfig": (TrainConfig, {f.name: JUNK for f in fields(TrainConfig)}),
+    "SyntheticSpec": (SyntheticSpec, {f.name: JUNK for f in fields(SyntheticSpec)}),
+    "local_surrogate": (_surrogate, {"radius": JUNK, "n_samples": JUNK}),
+}
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.data())
+def test_a_junk_setting_constructs_or_raises_a_ropnet_error(drawn):
+    """Any mix of junk and default settings either builds or raises a
+    ``RopnetError``: never another exception, and never a warning."""
+    build, strategies = JUNK_SETTINGS[drawn.draw(st.sampled_from(list(JUNK_SETTINGS)))]
+    settings_ = drawn.draw(st.fixed_dictionaries({}, optional=strategies))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            build(**settings_)
+        except RopnetError:
+            pass
 
 
 class TestGenerator:

@@ -392,11 +392,33 @@ class TestLocalSurrogate:
         with pytest.raises(RangeError):
             local_surrogate(lambda X: X.sum(axis=1), np.ones(3), SeededRng(0), radius=0.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_anchor_must_be_finite(self, bad):
+        """A non-finite anchor made every weight nan without an error."""
+        with pytest.raises(RangeError, match="anchor must be finite"):
+            local_surrogate(lambda X: X.sum(axis=1), np.array([1.0, bad, 1.0]), SeededRng(0))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_predictions_must_be_finite(self, bad):
+        """A predictor that returns nan or inf has no linear fit, as an
+        MSE that overflows has no importance."""
+        with pytest.raises(UndefinedMetricError, match="not finite"):
+            local_surrogate(lambda X: np.where(X[:, 0] > 0, bad, 1.0), np.ones(3), SeededRng(0))
+
     def test_sample_floor(self):
         with pytest.raises(RangeError):
             local_surrogate(
                 lambda X: X.sum(axis=1), np.ones(3), SeededRng(0), n_samples=49
             )
+
+    @pytest.mark.parametrize("n_samples", [100_001, 10**400])
+    def test_sample_ceiling(self, n_samples):
+        """The draws hold n_samples rows; 10**400 reached numpy's array
+        size limit (ValueError)."""
+        with pytest.raises(RangeError, match="between 50 and 100000"):
+            local_surrogate(lambda X: X.sum(axis=1), np.ones(3), SeededRng(0), n_samples=n_samples)
+        fit = local_surrogate(lambda X: X.sum(axis=1), np.ones(3), SeededRng(0), n_samples=100_000)
+        assert fit.n_samples == 100_000
 
     def test_vanishing_radius_degenerates(self):
         with pytest.raises(DegenerateNeighborhoodError):

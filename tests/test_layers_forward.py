@@ -460,12 +460,6 @@ class TestDropout:
         b = dropout_apply(x, 0.5, rng=SeededRng(3), training=True)
         np.testing.assert_array_equal(a, b)
 
-    def test_rate_out_of_range(self):
-        x = np.ones((2, 2))
-        for rate in (-0.1, 1.0, 1.5):
-            with pytest.raises(RangeError):
-                dropout_apply(x, rate, rng=SeededRng(0), training=True)
-
     def test_training_without_an_rng_rejected(self):
         with pytest.raises(RangeError, match="needs an rng"):
             dropout_apply(np.ones((2, 2)), 0.5, rng=None, training=True)

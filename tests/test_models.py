@@ -120,7 +120,8 @@ class TestSpecValidation:
             ModelSpec(kind="perceptron", input_features=8)
 
     def test_bad_dropout(self):
-        for rate in (-0.1, 1.0):
+        """``ModelSpec`` owns the rate's range; ``dropout_apply`` trusts it."""
+        for rate in (-0.1, 1.0, 1.5):
             with pytest.raises(ConfigurationError):
                 ModelSpec(kind=BASELINE_LSTM, input_features=8, dropout=rate)
 
