@@ -282,7 +282,7 @@ class SyntheticSpec:
 
     def __post_init__(self):
         check_count("synthetic n_rows", self.n_rows, 100, MAX_ROWS)
-        # its square is the truth's Bayes MSE, finite up to sqrt(max) squared
+        # its square is the truth's Bayes MSE, finite for a sigma up to sqrt(max)
         check_real("noise sigma (which needs a finite square)", self.noise_sigma,
                    0, math.sqrt(sys.float_info.max))
         check_count("synthetic regime count", self.regime_count, 1, self.n_rows)

@@ -127,7 +127,7 @@ def check_real(what: str, value, lo, hi, error=ConfigurationError, *,
     between the finite ends ``lo`` and ``hi``, each closed unless opened;
     the one rule for every real-valued setting.  nan and ±inf lie outside."""
     real = isinstance(value, numbers.Real) and not isinstance(value, bool)
-    # ints compare exactly, any float as a Python float (a numpy one warns of a cast)
+    # ints compare exactly, floats as Python floats (a float32 would cast hi down and warn)
     x = (value if isinstance(value, numbers.Rational) else float(value)) if real else math.nan
     if not ((lo < x if open_lo else lo <= x) and (x < hi if open_hi else x <= hi)):
         span = f"{'(' if open_lo else '['}{lo}, {hi}{')' if open_hi else ']'}"

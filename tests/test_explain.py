@@ -411,7 +411,7 @@ class TestLocalSurrogate:
                 lambda X: X.sum(axis=1), np.ones(3), SeededRng(0), n_samples=49
             )
 
-    @pytest.mark.parametrize("n_samples", [100_001, 10**400])
+    @pytest.mark.parametrize("n_samples", [100_001, pytest.param(10**400, id="int_past_float")])
     def test_sample_ceiling(self, n_samples):
         """The draws hold n_samples rows; 10**400 reached numpy's array
         size limit (ValueError)."""
