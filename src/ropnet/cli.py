@@ -21,7 +21,7 @@ import sys
 from dataclasses import dataclass, field, fields
 from types import SimpleNamespace
 
-from .data import SyntheticSpec, generate_synthetic, load_csv, replacing, write_csv
+from .data import CSV_BLOCK_ROWS, SyntheticSpec, generate_synthetic, load_csv, replacing, write_csv
 from .errors import (
     ConfigurationError,
     DataError,
@@ -260,18 +260,22 @@ def cmd_predict(args) -> int:
     model, state, (windows, statics, y_raw) = _eval_inputs(
         args, require_target=False
     )
-    pred = inverse_target(state, model.predict(windows, statics)).tolist()
-    first = state.window_len - 1
-    if y_raw is None:
-        lines = ["sample_index,predicted\n"]
-        lines += [f"{i},{p!r}\n" for i, p in enumerate(pred, first)]
-    else:
-        lines = ["sample_index,actual,predicted,abs_error\n"]
-        lines += [
-            f"{i},{a!r},{p!r},{abs(a - p)!r}\n"
-            for i, (a, p) in enumerate(zip(y_raw.tolist(), pred), first)
-        ]
-    _write(_ensure_out(args, RunConfig()), "predictions.csv", "".join(lines))
+    pred = inverse_target(state, model.predict(windows, statics))
+    path = os.path.join(_ensure_out(args, RunConfig()), "predictions.csv")
+    with replacing(path) as f:
+        f.write("sample_index,predicted\n" if y_raw is None
+                else "sample_index,actual,predicted,abs_error\n")
+        # a block at a time, so the text held does not grow with the rows
+        for start in range(0, len(pred), CSV_BLOCK_ROWS):
+            block = slice(start, start + CSV_BLOCK_ROWS)
+            rows = enumerate(pred[block].tolist(), state.window_len - 1 + start)
+            if y_raw is None:
+                lines = [f"{i},{p!r}\n" for i, p in rows]
+            else:
+                actual = y_raw[block].tolist()
+                lines = [f"{i},{a!r},{p!r},{abs(a - p)!r}\n" for (i, p), a in zip(rows, actual)]
+            f.write("".join(lines))
+    print(f"wrote {path}")
     return 0
 
 

@@ -285,6 +285,7 @@ class SyntheticSpec:
         # its square is the truth's Bayes MSE, finite for a sigma up to sqrt(max)
         check_real("noise sigma (which needs a finite square)", self.noise_sigma,
                    0, math.sqrt(sys.float_info.max))
+        self.noise_sigma = float(self.noise_sigma)  # a float32 would square in float32
         check_count("synthetic regime count", self.regime_count, 1, self.n_rows)
 
 

@@ -71,9 +71,8 @@ class ModelSpec:
 
     def __post_init__(self):
         if self.kind not in MODEL_KINDS:
-            raise ConfigurationError(
-                f"unknown model kind {self.kind!r}; choose from {MODEL_KINDS}"
-            )
+            got = shown(self.kind) if isinstance(self.kind, int) else repr(self.kind)
+            raise ConfigurationError(f"unknown model kind {got}; choose from {MODEL_KINDS}")
         for name in ("input_features", "window_len", "lstm_hidden", "lstm_layers",
                      "heads", "ffn_dim", "mixer_hidden"):
             check_count(name, getattr(self, name))

@@ -5,18 +5,22 @@ counts and epoch budgets, so the whole module stays fast while still
 exercising the real artifact formats and exit codes.
 """
 
+import argparse
 import json
 import os
 import re
 import struct
+from contextlib import contextmanager
 from dataclasses import fields
 
 import pytest
 
 from ropnet import cli
 from ropnet.cli import RunConfig, main, parse_config
+from ropnet.data import CSV_BLOCK_ROWS, Dataset, SyntheticSpec, generate_synthetic, write_csv
 from ropnet.errors import ConfigurationError, DivergenceError, UndefinedMetricError
-from ropnet.models import MODEL_KINDS, ModelSpec, build_model
+from ropnet.models import MODEL_KINDS, TS_MIXER, ModelSpec, build_model
+from ropnet.preprocess import fit_pipeline
 from ropnet.tensor import SeededRng
 from ropnet.train import load_checkpoint, save_checkpoint
 
@@ -653,7 +657,102 @@ class TestEval:
         assert not out.exists()
 
 
+@pytest.fixture(scope="module")
+def long_well(tmp_path_factory):
+    """An untrained window-4 checkpoint and a 2,500-row well with and
+    without its target: 2,497 rows to predict, three blocks of
+    ``CSV_BLOCK_ROWS`` with a partial last one."""
+    root = tmp_path_factory.mktemp("long_well")
+    dataset, _ = generate_synthetic(SyntheticSpec(n_rows=2500, seed=11))
+    state, prep = fit_pipeline(dataset, window_len=4)
+    spec = ModelSpec(kind=TS_MIXER, input_features=prep.train_windows.shape[2], window_len=4)
+    ckpt = root / "checkpoint.roph"
+    save_checkpoint(ckpt, build_model(spec, SeededRng(3)), state)
+    labelled, unlabelled = root / "labelled.csv", root / "unlabelled.csv"
+    write_csv(labelled, dataset)
+    write_csv(unlabelled, Dataset(dataset.feature_names, dataset.features))
+    assert 2 * CSV_BLOCK_ROWS < 2500 - 3 < 3 * CSV_BLOCK_ROWS
+    return {"ckpt": ckpt, "labelled": labelled, "unlabelled": unlabelled}
+
+
+def whole_text_predictions(pred, y_raw, first):
+    """``predictions.csv`` as one string, the way ``predict`` formatted
+    it before it wrote a block at a time."""
+    pred = pred.tolist()
+    if y_raw is None:
+        lines = ["sample_index,predicted\n"]
+        lines += [f"{i},{p!r}\n" for i, p in enumerate(pred, first)]
+    else:
+        lines = ["sample_index,actual,predicted,abs_error\n"]
+        lines += [
+            f"{i},{a!r},{p!r},{abs(a - p)!r}\n"
+            for i, (a, p) in enumerate(zip(y_raw.tolist(), pred), first)
+        ]
+    return "".join(lines)
+
+
+def data_rows(text):
+    """Lines of ``predictions.csv`` text, less its header."""
+    return text.count("\n") - text.startswith("sample_index")
+
+
+class WriteTap:
+    """Stands in for the file ``replacing`` yields to ``predict``: keeps
+    the text of each write, and raises on the ``fail_on``-th write that
+    holds data rows."""
+
+    def __init__(self, monkeypatch, fail_on=None):
+        self.texts, self.fail_on, real = [], fail_on, cli.replacing
+
+        @contextmanager
+        def tapped(path, mode="w"):
+            with real(path, mode) as self.file:
+                yield self
+
+        monkeypatch.setattr(cli, "replacing", tapped)
+
+    def write(self, text):
+        self.texts.append(text)
+        if sum(data_rows(t) > 0 for t in self.texts) == self.fail_on:
+            raise OSError("no space left on device")
+        return self.file.write(text)
+
+
 class TestPredict:
+    @pytest.mark.parametrize("data", ["labelled", "unlabelled"])
+    def test_blocks_give_the_whole_text_formatter_bytes(self, long_well, tmp_path, data):
+        """Block starts are where an off-by-one ``sample_index`` would show."""
+        argv = ["predict", "--checkpoint", str(long_well["ckpt"]), "--data", str(long_well[data])]
+        assert main(argv + ["--out", str(tmp_path)]) == 0
+        args = argparse.Namespace(checkpoint=long_well["ckpt"], data=long_well[data])
+        model, state, (windows, statics, y_raw) = cli._eval_inputs(args, require_target=False)
+        assert (y_raw is None) == (data == "unlabelled")
+        pred = cli.inverse_target(state, model.predict(windows, statics))
+        want = whole_text_predictions(pred, y_raw, state.window_len - 1)
+        assert (tmp_path / "predictions.csv").read_bytes() == want.encode("utf-8")
+
+    def test_no_write_holds_more_than_a_block(self, long_well, tmp_path, monkeypatch):
+        tap = WriteTap(monkeypatch)
+        argv = ["predict", "--checkpoint", str(long_well["ckpt"])]
+        argv += ["--data", str(long_well["labelled"]), "--out", str(tmp_path)]
+        assert main(argv) == 0
+        assert max(map(data_rows, tap.texts)) == CSV_BLOCK_ROWS
+        assert (tmp_path / "predictions.csv").read_text() == "".join(tap.texts)
+        assert sum(map(data_rows, tap.texts)) == 2500 - 3
+
+    def test_a_failed_block_leaves_the_previous_file(self, long_well, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "predictions.csv").write_bytes(b"previous\r\n")
+        tap = WriteTap(monkeypatch, fail_on=2)
+        argv = ["predict", "--checkpoint", str(long_well["ckpt"])]
+        argv += ["--data", str(long_well["labelled"]), "--out", str(out)]
+        assert main(argv) == 3
+        assert "no space left on device" in capsys.readouterr().err
+        assert sum(data_rows(t) > 0 for t in tap.texts) == 2
+        assert (out / "predictions.csv").read_bytes() == b"previous\r\n"
+        assert [path.name for path in out.iterdir()] == ["predictions.csv"]
+
     def test_with_actuals(self, pipeline, tmp_path):
         rc = main(
             [

@@ -473,6 +473,7 @@ REAL_SITES = {
                          "surrogate_n_samples", "preprocessor_window_len")
         ),
         pytest.param(lambda: REAL_SITES["radius"][0](-(10**5000)), id="radius"),
+        pytest.param(lambda: ModelSpec(kind=10**5000, input_features=8), id="kind"),
     ],
 )
 def test_a_setting_too_long_to_print_is_refused_by_its_size(build):
@@ -527,6 +528,18 @@ def test_a_numpy_float_setting_is_taken_without_a_warning(site):
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         REAL_SITES[site][0](np.float32(0.1))
+
+
+def test_a_float32_noise_sigma_squares_as_a_double():
+    """The spec keeps sigma as a Python float, so a float32 sigma whose
+    square overflows float32 still gives a finite Bayes MSE and a truth
+    that plain JSON can hold."""
+    sigma = np.float32(1e20)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        _, truth = generate_synthetic(SyntheticSpec(n_rows=100, noise_sigma=sigma))
+    assert truth["bayes_mse"] == float(sigma) ** 2
+    assert json.loads(json.dumps(truth))["noise_sigma"] == float(sigma)
 
 
 # values a caller might pass for any setting, in range or not
