@@ -24,7 +24,7 @@ import sys
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import accumulate, islice, pairwise
 from operator import itemgetter
 
 import numpy as np
@@ -226,20 +226,22 @@ def replacing(path, mode="w"):
 def write_csv(path, dataset: Dataset):
     """Write features (and the default schema's target, when present)
     with repr-exact floats, ``CSV_BLOCK_ROWS`` rows at a time, through
-    ``replacing``."""
+    ``replacing``.  Only the header goes through ``csv.writer``: a name
+    may need quotes, but a repr float never does.
+    """
     header = list(dataset.feature_names)
-    columns = [dataset.features]
-    if dataset.target is not None:
+    target = dataset.target
+    if target is not None:
         header.append(DatasetSchema.default().target_name)
-        columns.append(dataset.target)
-    table = np.column_stack(columns)
     with replacing(path) as f:
-        writer = csv.writer(f)
-        writer.writerow(header)
-        # a block at a time: a 20,000-row table as Python floats is 8 MB
-        for start in range(0, len(table), CSV_BLOCK_ROWS):
-            rows = table[start : start + CSV_BLOCK_ROWS].tolist()
-            writer.writerows(map(repr, row) for row in rows)
+        csv.writer(f).writerow(header)
+        for start in range(0, dataset.n_rows, CSV_BLOCK_ROWS):
+            block = slice(start, start + CSV_BLOCK_ROWS)
+            rows = dataset.features[block].tolist()
+            if target is not None:
+                for row, value in zip(rows, target[block].tolist()):
+                    row.append(value)
+            f.write("".join(",".join(map(repr, row)) + "\r\n" for row in rows))
 
 
 # Per-channel location and spread of the raw sensor values.
@@ -262,7 +264,7 @@ LAG2_COEFFS = _SIGNAL_SCALE * _LAG2_W / _BASE_STDS
 # Calibrated so the irreducible floor sits near R^2 = 0.99 for the
 # default row count and coefficients.
 DEFAULT_NOISE_SIGMA = 2.9
-# The generator's arrays take about 0.4 GB at this many rows.
+# Generating this many rows peaks at about 180 MB of process memory.
 MAX_ROWS = 1_000_000
 _TARGET_MEAN_LEVEL = 120.0
 _AR_RHO = 0.6
@@ -298,35 +300,38 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[Dataset, dict]:
     """
     rng = SeededRng(spec.seed)
     n = spec.n_rows
-    n_feat = len(_BASE_MEANS)
     burn = 2
     total = n + burn
 
     # Latents: AR(1) per channel with a shared common factor so the
-    # channels are cross-correlated, stationary unit variance.
-    eps = rng.normal((total, n_feat))
-    common = rng.normal((total, 1))
-    innov = (eps + _COMMON_FACTOR * common) / np.sqrt(1.0 + _COMMON_FACTOR**2)
-    z = np.empty((total, n_feat))
-    z[0] = innov[0]
-    carry = np.sqrt(1.0 - _AR_RHO**2)
-    for t in range(1, total):
-        z[t] = _AR_RHO * z[t - 1] + carry * innov[t]
+    # channels are cross-correlated, stationary unit variance.  One
+    # buffer holds the innovations, then the latents, then the sensors.
+    x = rng.normal((total, len(_BASE_MEANS)))
+    x += _COMMON_FACTOR * rng.normal((total, 1))
+    x /= np.sqrt(1.0 + _COMMON_FACTOR**2)
+    x[1:] *= np.sqrt(1.0 - _AR_RHO**2)
+    # z[t] = rho * z[t-1] + carry * innov[t], one channel at a time
+    for channel in x.T:
+        latent = accumulate(channel.tolist(), lambda prev, step: _AR_RHO * prev + step)
+        channel[:] = list(latent)
 
     # Regimes partition the emitted rows; each shifts the channel
     # means and the target level.
     cuts = np.sort(rng.uniform((spec.regime_count - 1,), 0.2, 0.8))
     boundaries = np.unique((cuts * n).astype(np.int64))
-    regime_of_row = np.searchsorted(boundaries, np.arange(n), side="right")
     n_regimes = len(boundaries) + 1
-    channel_shift = rng.uniform((n_regimes, n_feat), -1.0, 1.0)
+    channel_shift = rng.uniform((n_regimes, x.shape[1]), -1.0, 1.0)
     level_jitter = rng.uniform((n_regimes,), -1.0, 1.0)
-    noise = rng.normal((n,)) * spec.noise_sigma
+    noise = rng.normal((n,))
+    noise *= spec.noise_sigma
 
-    regime_full = np.concatenate(
-        [np.zeros(burn, dtype=np.int64), regime_of_row]
-    )
-    x = _BASE_MEANS + _BASE_STDS * (z + channel_shift[regime_full])
+    # regime k covers emitted rows spans[k]; the burn-in rows take regime 0's shift
+    spans = list(pairwise([0, *boundaries.tolist(), n]))
+    x[:burn] += channel_shift[0]
+    for (lo, hi), shift in zip(spans, channel_shift):
+        x[burn + lo : burn + hi] += shift
+    x *= _BASE_STDS
+    x += _BASE_MEANS
 
     c_s, c_1, c_2 = STATIC_COEFFS, LAG1_COEFFS, LAG2_COEFFS
     # Offsets absorb the coefficient-weighted mean so the target sits
@@ -334,14 +339,14 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[Dataset, dict]:
     center = _TARGET_MEAN_LEVEL - (c_s + c_1 + c_2) @ _BASE_MEANS
     regime_offsets = center + level_jitter
 
-    rows = np.arange(burn, total)
-    signal = (
-        x[rows] @ c_s
-        + x[rows - 1] @ c_1
-        + x[rows - 2] @ c_2
-        + regime_offsets[regime_of_row]
-    )
-    y = signal + noise
+    # the current row and the two before it, as row slices of x
+    signal = x[2:] @ c_s
+    signal += x[1:-1] @ c_1
+    signal += x[:-2] @ c_2
+    for (lo, hi), offset in zip(spans, regime_offsets):
+        signal[lo:hi] += offset
+    y = noise
+    y += signal
 
     signal_var = float(signal.var())
     bayes_mse = float(spec.noise_sigma**2)
@@ -362,7 +367,7 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[Dataset, dict]:
     }
     dataset = Dataset(
         feature_names=list(truth["feature_names"]),
-        features=x[rows],
+        features=x[burn:],
         target=y,
     )
     return dataset, truth

@@ -193,14 +193,20 @@ class SeededRng:
         self._state = np.uint64(seed & 0xFFFFFFFFFFFFFFFF)
 
     def _next_block(self, n: int) -> np.ndarray:
-        """Next ``n`` raw 64-bit outputs, identical to n scalar draws."""
+        """Next ``n`` raw 64-bit outputs, identical to n scalar draws, mixed in place."""
         with np.errstate(over="ignore"):
-            steps = (np.arange(1, n + 1, dtype=np.uint64)) * _GAMMA
-            z = self._state + steps
+            z = np.arange(1, n + 1, dtype=np.uint64)
+            z *= _GAMMA
+            z += self._state
             self._state = self._state + np.uint64(n) * _GAMMA
-            z = (z ^ (z >> np.uint64(30))) * _MIX1
-            z = (z ^ (z >> np.uint64(27))) * _MIX2
-            return z ^ (z >> np.uint64(31))
+            shifted = np.empty_like(z)
+            for shift, mix in ((30, _MIX1), (27, _MIX2)):
+                np.right_shift(z, np.uint64(shift), out=shifted)
+                z ^= shifted
+                z *= mix
+            np.right_shift(z, np.uint64(31), out=shifted)
+            z ^= shifted
+            return z
 
     def uniform(self, shape, lo: float = 0.0, hi: float = 1.0) -> np.ndarray:
         """Array of i.i.d. draws from [lo, hi)."""
@@ -210,20 +216,33 @@ class SeededRng:
             shape = (int(shape),)
         n = int(np.prod(shape)) if len(shape) else 1
         bits = self._next_block(n)
-        u01 = (bits >> np.uint64(11)).astype(np.float64) * _U53
-        return (lo + (hi - lo) * u01).reshape(shape)
+        bits >>= np.uint64(11)
+        u = np.multiply(bits, _U53)  # then lo + (hi - lo) * u, in place
+        u *= hi - lo
+        u += lo
+        return u.reshape(shape)
 
     def normal(self, shape) -> np.ndarray:
-        """Standard normal draws via Box-Muller on the uniform stream."""
+        """Standard normal draws via Box-Muller on the uniform stream: r and
+        theta in place in the uniforms, r * cos and r * sin in the result's halves."""
         if np.isscalar(shape):
             shape = (int(shape),)
         n = int(np.prod(shape)) if len(shape) else 1
         pairs = (n + 1) // 2
-        u = self.uniform((2, pairs))
-        r = np.sqrt(-2.0 * np.log1p(-u[0]))  # 1-u in (0,1], log finite
-        theta = 2.0 * np.pi * u[1]
-        z = np.concatenate([r * np.cos(theta), r * np.sin(theta)])[:n]
-        return z.reshape(shape)
+        r, theta = self.uniform((2, pairs))
+        # r = sqrt(-2 * log1p(-u)); 1-u in (0,1], log finite
+        np.negative(r, out=r)
+        np.log1p(r, out=r)
+        r *= -2.0
+        np.sqrt(r, out=r)
+        theta *= 2.0 * np.pi
+        z = np.empty(2 * pairs)
+        cos, sin = z[:pairs], z[pairs:]
+        np.cos(theta, out=cos)
+        cos *= r
+        np.sin(theta, out=sin)
+        sin *= r
+        return z[:n].reshape(shape)
 
     def permutation(self, n: int) -> np.ndarray:
         """Deterministic permutation of range(n) by sorting random keys."""

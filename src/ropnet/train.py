@@ -93,8 +93,8 @@ class AdamWState:
     """Step count and moment estimates over a flat (values, grads) arena.
 
     Training passes ``model.arena()``; a standalone list of Params gets
-    one from ``pack``.  The moments and the update's scratch are flat
-    buffers of the same length.
+    one from ``pack``.  The moments are flat buffers of the same length;
+    each step makes its own scratch, so none is held between steps.
     """
 
     def __init__(self, values, grads):
@@ -102,7 +102,6 @@ class AdamWState:
         self.values, self.grads = values, grads
         self.m = np.zeros_like(values)
         self.v = np.zeros_like(values)
-        self.scratch = np.empty_like(values), np.empty_like(values)
 
 
 def adamw_step(state: AdamWState, cfg: TrainConfig):
@@ -115,7 +114,7 @@ def adamw_step(state: AdamWState, cfg: TrainConfig):
     bc1 = 1.0 - cfg.beta1**state.t
     bc2 = 1.0 - cfg.beta2**state.t
     x, g, m, v = state.values, state.grads, state.m, state.v
-    s, step = state.scratch
+    s, step = np.empty_like(x), np.empty_like(x)
     # m = beta1 * m + (1 - beta1) * g
     m *= cfg.beta1
     np.multiply(g, 1.0 - cfg.beta1, out=s)

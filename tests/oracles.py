@@ -2,10 +2,25 @@
 
 Everything here is written with explicit loops and the textbook
 formulas, deliberately sharing no code with the package, so agreement
-is evidence rather than tautology.  Shapes are assumed tiny.
+is evidence rather than tautology.  Shapes are assumed tiny, except for
+the whole-array generator copies at the end, which the in-place ones
+must match bit for bit.
 """
 
+import tracemalloc
+
 import numpy as np
+
+from ropnet.data import (
+    _AR_RHO,
+    _BASE_MEANS,
+    _BASE_STDS,
+    _COMMON_FACTOR,
+    _TARGET_MEAN_LEVEL,
+    LAG1_COEFFS,
+    LAG2_COEFFS,
+    STATIC_COEFFS,
+)
 
 
 def sigmoid(x):
@@ -203,3 +218,112 @@ def relative_error(analytic, numeric):
     b = np.asarray(numeric).reshape(-1)
     denom = np.maximum(1.0, np.abs(a))
     return float(np.max(np.abs(a - b) / denom))
+
+
+def traced_peak(fn):
+    """``fn()``'s result and the most memory tracemalloc saw it hold."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class WholeArrayRng:
+    """SplitMix64 draws as whole-array expressions, one temporary per
+    operation: the form ``tensor.SeededRng`` computes in place."""
+
+    GAMMA = np.uint64(0x9E3779B97F4A7C15)
+    MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+    MIX2 = np.uint64(0x94D049BB133111EB)
+
+    def __init__(self, seed):
+        self.state = np.uint64(seed & 0xFFFFFFFFFFFFFFFF)
+
+    def next_block(self, n):
+        with np.errstate(over="ignore"):
+            steps = (np.arange(1, n + 1, dtype=np.uint64)) * self.GAMMA
+            z = self.state + steps
+            self.state = self.state + np.uint64(n) * self.GAMMA
+            z = (z ^ (z >> np.uint64(30))) * self.MIX1
+            z = (z ^ (z >> np.uint64(27))) * self.MIX2
+            return z ^ (z >> np.uint64(31))
+
+    def uniform(self, shape, lo=0.0, hi=1.0):
+        if np.isscalar(shape):
+            shape = (int(shape),)
+        n = int(np.prod(shape)) if len(shape) else 1
+        bits = self.next_block(n)
+        u01 = (bits >> np.uint64(11)).astype(np.float64) * np.float64(1.0 / (1 << 53))
+        return (lo + (hi - lo) * u01).reshape(shape)
+
+    def normal(self, shape):
+        if np.isscalar(shape):
+            shape = (int(shape),)
+        n = int(np.prod(shape)) if len(shape) else 1
+        pairs = (n + 1) // 2
+        u = self.uniform((2, pairs))
+        r = np.sqrt(-2.0 * np.log1p(-u[0]))
+        theta = 2.0 * np.pi * u[1]
+        z = np.concatenate([r * np.cos(theta), r * np.sin(theta)])[:n]
+        return z.reshape(shape)
+
+
+def whole_array_well(spec):
+    """Features, target and truth of ``data.generate_synthetic(spec)``,
+    drawn with ``WholeArrayRng``, a numpy row loop for the AR(1) latents,
+    a gathered regime shift and fancy-indexed lags."""
+    seed, noise_sigma, regime_count = spec.seed, spec.noise_sigma, spec.regime_count
+    rng = WholeArrayRng(seed)
+    n, n_feat, burn = spec.n_rows, len(_BASE_MEANS), 2
+    total = n + burn
+    eps = rng.normal((total, n_feat))
+    common = rng.normal((total, 1))
+    innov = (eps + _COMMON_FACTOR * common) / np.sqrt(1.0 + _COMMON_FACTOR**2)
+    z = np.empty((total, n_feat))
+    z[0] = innov[0]
+    carry = np.sqrt(1.0 - _AR_RHO**2)
+    for t in range(1, total):
+        z[t] = _AR_RHO * z[t - 1] + carry * innov[t]
+
+    cuts = np.sort(rng.uniform((regime_count - 1,), 0.2, 0.8))
+    boundaries = np.unique((cuts * n).astype(np.int64))
+    regime_of_row = np.searchsorted(boundaries, np.arange(n), side="right")
+    n_regimes = len(boundaries) + 1
+    channel_shift = rng.uniform((n_regimes, n_feat), -1.0, 1.0)
+    level_jitter = rng.uniform((n_regimes,), -1.0, 1.0)
+    noise = rng.normal((n,)) * noise_sigma
+
+    regime_full = np.concatenate([np.zeros(burn, dtype=np.int64), regime_of_row])
+    x = _BASE_MEANS + _BASE_STDS * (z + channel_shift[regime_full])
+    c_s, c_1, c_2 = STATIC_COEFFS, LAG1_COEFFS, LAG2_COEFFS
+    center = _TARGET_MEAN_LEVEL - (c_s + c_1 + c_2) @ _BASE_MEANS
+    regime_offsets = center + level_jitter
+    rows = np.arange(burn, total)
+    signal = (
+        x[rows] @ c_s
+        + x[rows - 1] @ c_1
+        + x[rows - 2] @ c_2
+        + regime_offsets[regime_of_row]
+    )
+    y = signal + noise
+    signal_var = float(signal.var())
+    bayes_mse = float(noise_sigma**2)
+    truth = {
+        "seed": seed,
+        "n_rows": n,
+        "feature_names": ["WOB", "RPM", "Torque", "Standpipe Pressure",
+                          "Flow Rate", "Hook Load", "Bit Depth", "Hole Depth"],
+        "static_coeffs": c_s.tolist(),
+        "lag1_coeffs": c_1.tolist(),
+        "lag2_coeffs": c_2.tolist(),
+        "regime_boundaries": boundaries.tolist(),
+        "regime_offsets": regime_offsets.tolist(),
+        "channel_shift": channel_shift.tolist(),
+        "noise_sigma": noise_sigma,
+        "bayes_mse": bayes_mse,
+        "signal_variance": signal_var,
+        "bayes_r2": signal_var / (signal_var + bayes_mse),
+    }
+    return x[rows], y, truth

@@ -39,6 +39,8 @@ from ropnet.preprocess import PreprocessorState, fit_pipeline, make_windows
 from ropnet.tensor import SeededRng
 from ropnet.train import TrainConfig
 
+from oracles import traced_peak, whole_array_well
+
 
 def _ols_r2(X, y):
     """Least-squares fit with intercept; returns plain R^2."""
@@ -110,6 +112,27 @@ class TestCsvRoundTrip:
             b"-0.0,1e+16,0.30000000000000004\r\n"
             b"5e-324,1.7976931348623157e+308,2.5\r\n"
         )
+
+    def test_header_that_needs_quotes_gets_them(self, tmp_path):
+        """Names holding a comma or a double quote are quoted as
+        csv.writer quotes them, and read back as the same names."""
+        names = ["WOB, klbf", 'Say "when"']
+        dataset = Dataset(feature_names=names, features=np.array([[1.5, -2.0]]),
+                          target=np.array([3.25]))
+        path = tmp_path / "quoted.csv"
+        write_csv(path, dataset)
+        assert path.read_bytes() == b'"WOB, klbf","Say ""when""",ROP\r\n1.5,-2.0,3.25\r\n'
+        again = load_csv(path, DatasetSchema(names, "ROP"))
+        assert again.feature_names == names
+        assert again.features.tobytes() == dataset.features.tobytes()
+        assert again.target.tobytes() == dataset.target.tobytes()
+
+    def test_writing_a_well_holds_no_whole_table_copy(self, tmp_path):
+        """Each block is formatted from its own slices (a stacked copy
+        of a 20,000-row well and target alone is 1.4 MiB)."""
+        dataset, _ = generate_synthetic(SyntheticSpec(n_rows=20_000))
+        _, peak = traced_peak(lambda: write_csv(tmp_path / "well.csv", dataset))
+        assert peak <= 1.5 * 2**20, peak / 2**20
 
     def test_target_optional_on_request(self, tmp_path):
         dataset, _ = generate_synthetic(SyntheticSpec(n_rows=100, seed=1))
@@ -642,6 +665,30 @@ class TestGenerator:
         cfg.write_text("data.synthetic.n_rows = 150\n")
         assert main(["gen-data", "--config", str(cfg), "--seed", "7", "--out", str(tmp_path)]) == 0
         assert json.loads((tmp_path / "synthetic.truth.json").read_text()) == truth
+
+
+class TestInPlaceGenerator:
+    """The one-buffer generator keeps the bits of the whole-array form
+    in ``oracles.whole_array_well``."""
+
+    @pytest.mark.parametrize("n_rows", [100, 101, 2000, 20_000])
+    @pytest.mark.parametrize("regimes", [1, 3, "n_rows"])
+    @pytest.mark.parametrize("sigma", [0.0, np.float32(3.0)])
+    def test_bits(self, n_rows, regimes, sigma):
+        regime_count = n_rows if regimes == "n_rows" else regimes
+        spec = SyntheticSpec(n_rows=n_rows, noise_sigma=sigma, regime_count=regime_count, seed=n_rows)
+        dataset, truth = generate_synthetic(spec)
+        features, target, want = whole_array_well(spec)
+        assert dataset.features.shape == features.shape
+        assert dataset.features.tobytes() == features.tobytes()
+        assert dataset.target.tobytes() == target.tobytes()
+        assert json.dumps(truth) == json.dumps(want)
+
+    def test_peak_memory(self):
+        """Innovations, latents and sensors share one buffer, so the
+        peak stays near two copies of it (8.2 MiB in whole arrays)."""
+        _, peak = traced_peak(lambda: generate_synthetic(SyntheticSpec(n_rows=20_000)))
+        assert peak <= 5 * 2**20, peak / 2**20
 
 
 class TestGroundTruthRecovery:

@@ -6,7 +6,7 @@ import pytest
 from ropnet.errors import RangeError
 from ropnet.tensor import SeededRng, softmax_last_axis
 
-from oracles import softmax_loop
+from oracles import WholeArrayRng, softmax_loop, traced_peak
 
 
 class TestSoftmax:
@@ -100,3 +100,36 @@ class TestSeededRng:
         assert rng.uniform((2, 3, 4)).shape == (2, 3, 4)
         assert rng.normal((3, 5)).shape == (3, 5)
         assert rng.normal(7).shape == (7,)
+
+
+DRAW_SHAPES = [(), (1,), (7,), (5, 3), (20002, 8)]
+
+
+class TestInPlaceDraws:
+    """The in-place draws keep the bits and stream position of the
+    whole-array expressions in ``oracles.WholeArrayRng``."""
+
+    @staticmethod
+    def _same(new, old):
+        assert new.shape == old.shape
+        assert new.tobytes() == old.tobytes()
+
+    @pytest.mark.parametrize("shape", DRAW_SHAPES)
+    @pytest.mark.parametrize("lo, hi", [(0.0, 1.0), (-1.0, 1.0), (-0.3, 0.7)])
+    def test_uniform_bits(self, shape, lo, hi):
+        new, old = SeededRng(31), WholeArrayRng(31)
+        self._same(new.uniform(shape, lo, hi), old.uniform(shape, lo, hi))
+        self._same(new.uniform(5), old.uniform(5))
+
+    @pytest.mark.parametrize("shape", DRAW_SHAPES)
+    def test_normal_bits(self, shape):
+        new, old = SeededRng(37), WholeArrayRng(37)
+        self._same(new.normal(shape), old.normal(shape))
+        self._same(new.normal(5), old.normal(5))
+
+    def test_normal_peak_is_twice_its_result(self):
+        """The uniforms hold r and theta in place and the result is
+        written half by half: no temporary beyond those two arrays
+        (the whole-array form peaks at 4x its result)."""
+        draws, peak = traced_peak(lambda: SeededRng(41).normal((20002, 8)))
+        assert peak <= 2.5 * draws.nbytes, peak / draws.nbytes

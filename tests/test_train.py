@@ -209,6 +209,20 @@ class TestAdamW:
         np.testing.assert_array_equal(state.m, np.zeros(4))
         np.testing.assert_array_equal(state.v, np.zeros(4))
 
+    def test_state_holds_two_arena_sizes(self):
+        """Only the moments live between steps; each step makes its own
+        scratch."""
+        spec = ModelSpec(kind=ADVANCED_HYBRID, input_features=8, window_len=4)
+        values, grads = build_model(spec, SeededRng(2)).arena()
+        tracemalloc.start()
+        try:
+            state = AdamWState(values, grads)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held <= 2 * values.nbytes + 4096, held / values.nbytes
+        assert state.m.nbytes == state.v.nbytes == values.nbytes
+
     def test_flagship_steps_match_reference(self):
         """The flat-arena update agrees with the textbook loop on every
         entry of the flagship, read through its Params in arena order."""
